@@ -22,8 +22,8 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Tier-2: the whole suite under the race detector. The shared-memory
-# runtime (FactorizeShared/SolveShared) and the mpsim message runtime are
-# concurrency-heavy; the stress tests are written to be meaningful here.
+# runtime (FactorizeShared), the level-set solve engine and the mpsim
+# message runtime are concurrency-heavy; the stress tests are written to be meaningful here.
 # -short keeps the stress loops at a size the detector finishes quickly;
 # drop it for the full soak.
 race:
@@ -66,20 +66,23 @@ dynstress:
 # suites, the packed panel kernels, the cross-runtime solve conformance
 # table (every generator × every factorization runtime × static/dynamic
 # level dispatch × 1/32 RHS, bitwise), the public SolveOpts wrapper
-# equivalence, and the serving options path — all under the race detector.
+# equivalence (sequential 32-RHS panels bitwise-equal to Solve and to the
+# level-set engine), and the serving options path — all under the race
+# detector.
 solvestress:
 	$(GO) test -race -timeout 300s \
-		-run 'SolveDAG|SolvePlan|LevelSolve|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions' \
-		./internal/solver ./internal/blas ./internal/service .
+		-run 'SolveDAG|SolvePlan|LevelStorm|SolveLevel|Packed|SolveConformance|SolveOpts|PrepareSolve|ServerSolveOptions' \
+		./internal/sched ./internal/solver ./internal/blas ./internal/service .
 
 # HA-serving stress soak: the sharded gateway suites under the race
 # detector — consistent-hash ring and breaker units, the retrying client's
 # deterministic backoff schedule, end-to-end replicated factorize with
 # kill/restart/hedge/drain failover, the service idempotency and readiness
 # layers, and the multi-seed node-kill chaos soak (every accepted solve
-# bit-identical to a fault-free single-node run).
+# bit-identical to a fault-free single-node run). The gateway suites run at
+# GOMAXPROCS 1, 2 and 4 so start-up and probe races show on any host.
 hastress:
-	$(GO) test -race -timeout 600s -count=1 ./internal/gateway/...
+	$(GO) test -race -timeout 600s -count=1 -cpu 1,2,4 ./internal/gateway/...
 	$(GO) test -race -timeout 300s -run 'Readyz|BodyLimit|Idempotent|Drain' ./internal/service
 
 # Block low-rank stress soak: the compression kernels and admission logic,
@@ -100,8 +103,8 @@ blrstress:
 durastress:
 	$(GO) test -race -timeout 300s ./internal/store
 	$(GO) test -race -timeout 300s -run 'Durable|Replicate|Recovering|IdemStore' ./internal/service
-	$(GO) test -race -timeout 300s -run 'AntiEntropy|AwaitShard' ./internal/gateway
-	$(GO) test -race -timeout 600s -short -run 'ChaosDurable' ./internal/gateway/chaos
+	$(GO) test -race -timeout 300s -cpu 1,2,4 -run 'AntiEntropy|AwaitShard' ./internal/gateway
+	$(GO) test -race -timeout 600s -cpu 1,2,4 -short -run 'ChaosDurable' ./internal/gateway/chaos
 
 # Short coverage-guided fuzz pass over the sparse-matrix invariants, the
 # file parsers, the task-DAG executor, the low-rank compressor's

@@ -17,6 +17,7 @@ package pastix
 // wall-clock costs of producing them.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -204,19 +205,9 @@ func BenchmarkSolveVariants(b *testing.B) {
 	})
 	b.Run("Parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := solver.SolvePar(an.Sched, f, rhs); err != nil {
+			if _, err := solver.SolveParManyOpts(context.Background(), an.Sched, f, rhs, 1, solver.SolveOptions{}); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	const nrhs = 8
-	panel := make([]float64, n*nrhs)
-	for i := range panel {
-		panel[i] = 1
-	}
-	b.Run("Many8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = f.SolveMany(panel, nrhs)
 		}
 	})
 }

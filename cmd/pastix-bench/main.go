@@ -66,15 +66,6 @@ func main() {
 		dynLoad  = flag.Int("dynload", 0, "background CPU-burner goroutines for the loaded -dyncmp points (0 = worker count)")
 		dynOut   = flag.String("dynout", "BENCH_dynamic_vs_static.json", "JSON output file for -dyncmp rows")
 
-		serveTest    = flag.Bool("servetest", false, "measure the solve-path throughput engine: level-set vs legacy per-RHS solve time plus an in-process serving load test")
-		serveGrid    = flag.Int("servegrid", 12, "Poisson grid edge for -servetest (n³ unknowns)")
-		serveProcs   = flag.Int("serveprocs", 4, "solver worker count for -servetest")
-		serveReps    = flag.Int("servereps", 5, "timing repetitions per solve point for -servetest (best kept)")
-		serveNRHS    = flag.Int("servenrhs", 32, "wide panel width for the -servetest multi-RHS points")
-		serveReqs    = flag.Int("servereqs", 200, "solve requests per load point for -servetest")
-		serveClients = flag.String("serveclients", "2,8", "concurrent client counts for the -servetest load points")
-		serveOut     = flag.String("serveout", "BENCH_solve_throughput.json", "JSON output file for the -servetest report")
-
 		blrTest  = flag.Bool("blr", false, "measure block low-rank factor compression: memory ratio, compress/solve time and backward error across tolerances (3-D Poisson + graded + irregular generators)")
 		blrGrid  = flag.Int("blrgrid", 14, "Poisson grid edge for -blr (n³ unknowns)")
 		blrProcs = flag.Int("blrprocs", 4, "processor count for -blr")
@@ -101,7 +92,7 @@ func main() {
 	if *all {
 		*table1, *table2, *dense, *ablate = true, true, true, true
 	}
-	if !*table1 && !*table2 && !*dense && !*ablate && !*sharedCmp && !*batchRHS && !*diverge && !*dynCmp && !*serveTest && !*gwTest && !*blrTest && !*duraTest && *plot == "" && *bsweep == "" {
+	if !*table1 && !*table2 && !*dense && !*ablate && !*sharedCmp && !*batchRHS && !*diverge && !*dynCmp && !*gwTest && !*blrTest && !*duraTest && *plot == "" && *bsweep == "" {
 		flag.Usage()
 		return
 	}
@@ -281,36 +272,6 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("rows written to %s\n", *dynOut)
-		}
-		fmt.Println()
-	}
-	if *serveTest {
-		var clients []int
-		for _, s := range strings.Split(*serveClients, ",") {
-			c, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || c < 1 {
-				log.Fatalf("bad -serveclients entry %q", s)
-			}
-			clients = append(clients, c)
-		}
-		fmt.Printf("== solve-path throughput: level-set engine vs legacy sweeps, %d workers ==\n", *serveProcs)
-		rp, err := servebench.ServeTest(*serveGrid, *serveProcs, *serveReps, *serveNRHS, *serveReqs, clients)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(servebench.FormatServeReport(rp))
-		if rp.Note != "" {
-			fmt.Printf("note: %s\n", rp.Note)
-		}
-		if *serveOut != "" {
-			data, err := json.MarshalIndent(rp, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*serveOut, append(data, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("report written to %s\n", *serveOut)
 		}
 		fmt.Println()
 	}

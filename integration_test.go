@@ -6,6 +6,7 @@ package pastix
 // "downstream user" path exercised wholesale.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -49,28 +50,29 @@ func TestIntegrationFullSuite(t *testing.T) {
 				}
 			}
 			// Parallel solve agrees.
-			xp, err := an.SolveParallel(f, b)
+			xp, err := an.SolveOpts(context.Background(), f, b, SolveOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range x {
-				if math.Abs(xp[i]-x[i]) > 1e-10*(1+math.Abs(x[i])) {
+				if math.Abs(xp.X[i]-x[i]) > 1e-10*(1+math.Abs(x[i])) {
 					t.Fatalf("parallel solve differs at %d", i)
 				}
 			}
 			// Refinement cannot hurt: the adaptive loop must hand back a
 			// monotonically non-increasing backward-error trajectory and a
 			// residual no worse than the plain solve's.
-			xr, rs, err := an.SolveRefinedStats(f, b)
+			xr, err := an.SolveOpts(context.Background(), f, b, SolveOptions{Runtime: RuntimeSequential, Refine: &RefineOptions{}})
 			if err != nil {
 				t.Fatal(err)
 			}
+			rs := xr.Refine
 			for i := 1; i < len(rs.Trajectory); i++ {
 				if rs.Trajectory[i] > rs.Trajectory[i-1] {
 					t.Fatalf("refinement trajectory not monotone: %v", rs.Trajectory)
 				}
 			}
-			if Residual(a, xr, b) > Residual(a, x, b)*1.001 {
+			if Residual(a, xr.X, b) > Residual(a, x, b)*1.001 {
 				t.Fatal("refinement worsened residual")
 			}
 			if !rs.Converged {
@@ -82,13 +84,13 @@ func TestIntegrationFullSuite(t *testing.T) {
 			copy(panel, b)
 			copy(panel[n:], b)
 			copy(panel[2*n:], b)
-			xs, err := an.SolveMany(f, panel, 3)
+			xs, err := an.SolveOpts(context.Background(), f, panel, SolveOptions{NRHS: 3, Runtime: RuntimeSequential})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for r := 0; r < 3; r++ {
 				for i := 0; i < n; i++ {
-					if math.Abs(xs[i+r*n]-x[i]) > 1e-10*(1+math.Abs(x[i])) {
+					if math.Abs(xs.X[i+r*n]-x[i]) > 1e-10*(1+math.Abs(x[i])) {
 						t.Fatalf("rhs %d differs at %d", r, i)
 					}
 				}

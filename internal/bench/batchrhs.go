@@ -29,7 +29,7 @@ type BatchRow struct {
 
 // CompareBatchedSolve factorizes the nx×ny×nz Poisson problem once on p
 // processors and then times, for each k in rhsCounts, k independent
-// SolveParOpts calls against one k-column SolveParManyOpts. Both paths run
+// one-column SolveParManyOpts calls against one k-column call. Both paths run
 // the same message-passing panel solve, so the batched columns must be
 // bit-identical to the independent results; any mismatch is an error.
 func CompareBatchedSolve(nx, ny, nz, p int, rhsCounts []int, reps int) ([]BatchRow, error) {
@@ -68,7 +68,7 @@ func CompareBatchedSolve(nx, ny, nz, p int, rhsCounts []int, reps int) ([]BatchR
 			t0 := time.Now()
 			single = single[:0]
 			for r := 0; r < k; r++ {
-				x, err := solver.SolveParOpts(ctx, an.Sched, f, panel[r*n:(r+1)*n], solver.SolveOptions{})
+				x, err := solver.SolveParManyOpts(ctx, an.Sched, f, panel[r*n:(r+1)*n], 1, solver.SolveOptions{})
 				if err != nil {
 					return nil, fmt.Errorf("single k=%d: %w", k, err)
 				}

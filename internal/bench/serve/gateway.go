@@ -1,6 +1,13 @@
+// Package serve benchmarks the HTTP serving tier end to end: the HA gateway
+// under concurrent clients with backend kills, and the durable store's
+// factorize ack latency. It lives apart from internal/bench because it
+// exercises the public pastix API (which the root package's own benchmarks
+// would cycle on).
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -81,10 +88,11 @@ func GatewayTest(grid, procs, nodes, requests int, clientCounts []int) (*Gateway
 		return nil, err
 	}
 	_, b := gen.RHSForSolution(a)
-	want, err := an.SolveParallel(f, b)
+	res, err := an.SolveOpts(context.Background(), f, b, pastix.SolveOptions{})
 	if err != nil {
 		return nil, err
 	}
+	want := res.X
 
 	for _, kills := range []int{0, 1} {
 		for _, clients := range clientCounts {
@@ -255,4 +263,24 @@ func (rp *GatewayReport) MarshalPretty() ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
+}
+
+// postServe posts body as JSON and decodes the response, failing on any
+// non-200 status.
+func postServe(url string, body, into any) error {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var eb bytes.Buffer
+		_, _ = eb.ReadFrom(resp.Body)
+		return fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, eb.String())
+	}
+	return json.NewDecoder(resp.Body).Decode(into)
 }

@@ -27,6 +27,8 @@ type Stats struct {
 // runner is the state of one Run: the activation counters, the per-worker
 // deques, and the parking lot idle workers sleep in.
 type runner struct {
+	ctx       context.Context
+	done      <-chan struct{} // ctx.Done(), polled between tasks
 	dag       *sched.DAG
 	exec      ExecFunc
 	remaining []atomic.Int32 // in-degree countdown; task ready at zero
@@ -65,6 +67,8 @@ func Run(ctx context.Context, d *sched.DAG, workers int, exec ExecFunc) (Stats, 
 		return Stats{}, nil
 	}
 	r := &runner{
+		ctx:       ctx,
+		done:      ctx.Done(),
 		dag:       d,
 		exec:      exec,
 		remaining: make([]atomic.Int32, n),
@@ -91,16 +95,6 @@ func Run(ctx context.Context, d *sched.DAG, workers int, exec ExecFunc) (Stats, 
 		r.deques[i%workers].push(roots[i])
 	}
 
-	watchDone := make(chan struct{})
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				r.abort(ctx.Err())
-			case <-watchDone:
-			}
-		}()
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -110,7 +104,6 @@ func Run(ctx context.Context, d *sched.DAG, workers int, exec ExecFunc) (Stats, 
 		}(w)
 	}
 	wg.Wait()
-	close(watchDone)
 
 	st := Stats{Executed: int64(n) - r.pending.Load(), Steals: r.steals.Load(), Parks: r.parks.Load()}
 	r.abortMu.Lock()
@@ -153,11 +146,20 @@ func (r *runner) wake() {
 	r.cond.Broadcast()
 }
 
-// work is one worker goroutine: pop local, else steal, else park.
+// work is one worker goroutine: pop local, else steal, else park. A
+// cancelled ctx is seen here, after the task in progress; a parked worker
+// needs no watcher, since it sleeps only while another worker runs a task
+// and that worker's abort wakes it.
 func (r *runner) work(w int) {
 	for {
 		if r.aborted.Load() || r.pending.Load() == 0 {
 			return
+		}
+		select {
+		case <-r.done:
+			r.abort(r.ctx.Err())
+			return
+		default:
 		}
 		task := r.deques[w].pop()
 		if task < 0 {

@@ -210,7 +210,10 @@ type Gateway struct {
 	repairs, replicasDropped, refactorizes atomic.Int64
 }
 
-// New validates cfg, starts the active prober and returns a ready Gateway.
+// New validates cfg, runs one probe round over every backend, starts the
+// active prober and returns a ready Gateway. The first round is synchronous
+// so a request arriving right after New sees every live backend as routable
+// (probeOK starts false) instead of committing under-replicated.
 func New(cfg Config) (*Gateway, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -230,6 +233,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	g.cancel = cancel
+	g.probeRound(ctx)
 	g.wg.Add(1)
 	go g.prober(ctx)
 	if cfg.RepairInterval > 0 {

@@ -115,6 +115,28 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 }
 
+// New probes every backend before it returns, so a factorize sent the moment
+// the gateway exists replicates to both live nodes instead of committing at
+// degree 1 while the first probe round is still in flight.
+func TestGatewayFactorizeRightAfterNew(t *testing.T) {
+	nodes := []*node{startNode(t, svcConfig()), startNode(t, svcConfig())}
+	g, ts := startGateway(t, nodes, func(c *Config) { c.ProbeInterval = time.Minute })
+	now := time.Now()
+	for _, b := range g.backends {
+		if !b.routable(now) {
+			t.Fatalf("backend %d not routable when New returned", b.id)
+		}
+	}
+	_, mm := testMatrix(t)
+	st, fr := postJSON(t, ts.URL+"/v1/factorize", map[string]any{"matrix_market": mm})
+	if st != http.StatusOK {
+		t.Fatalf("factorize status %d: %v", st, fr)
+	}
+	if r := field[int](t, fr, "replicas"); r != 2 {
+		t.Fatalf("replicas %d, want 2", r)
+	}
+}
+
 // Killing the primary mid-session must not lose the factor: the solve fails
 // over to the replica and returns the same bits.
 func TestGatewayFailoverKilledPrimary(t *testing.T) {

@@ -241,34 +241,41 @@ func (g *Gateway) probe(ctx context.Context, b *backendHealth) {
 	}
 }
 
-// prober loops active probes over all backends until ctx ends. After each
-// round it wakes requests parked in awaitShard if any backend flipped from
-// unroutable to routable — the only event that can unblock them.
+// probeRound probes every backend at once, each bounded by ProbeTimeout, and
+// wakes requests parked in awaitShard if any backend flipped from unroutable
+// to routable — the only event that can unblock them.
+func (g *Gateway) probeRound(ctx context.Context) {
+	var wg sync.WaitGroup
+	var woke atomic.Bool
+	for _, b := range g.backends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			before := b.routable(time.Now())
+			g.probe(ctx, b)
+			if !before && b.routable(time.Now()) {
+				woke.Store(true)
+			}
+		}()
+	}
+	wg.Wait()
+	if woke.Load() {
+		g.wakeParked()
+	}
+}
+
+// prober repeats probeRound at every tick until ctx ends. New runs the first
+// round itself, so the loop starts at the ticker.
 func (g *Gateway) prober(ctx context.Context) {
 	defer g.wg.Done()
 	tick := time.NewTicker(g.cfg.ProbeInterval)
 	defer tick.Stop()
-	probeRound := func() {
-		now := time.Now()
-		woke := false
-		for _, b := range g.backends {
-			before := b.routable(now)
-			g.probe(ctx, b)
-			if !before && b.routable(time.Now()) {
-				woke = true
-			}
-		}
-		if woke {
-			g.wakeParked()
-		}
-	}
-	probeRound()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			probeRound()
+			g.probeRound(ctx)
 		}
 	}
 }

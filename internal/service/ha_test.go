@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -160,6 +162,47 @@ func TestServerFactorizeIdempotent(t *testing.T) {
 	}
 	if fr4.IdempotentReplay || fr4.Handle == fr1.Handle {
 		t.Fatalf("released handle came back from the idempotency store: %+v", fr4)
+	}
+}
+
+// get is the non-claiming lookup the store tests read through.
+func (s *idemStore) get(key string) (factorizeResponse, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.getLocked(key)
+}
+
+// A claim on a key in flight waits for its holder, then replays the
+// holder's response, or takes the key over if the holder failed.
+func TestIdemStoreClaimSingleFlight(t *testing.T) {
+	st := newIdemStore(8, time.Hour)
+	ctx := context.Background()
+	_, replay, done, err := st.claim(ctx, "k")
+	if err != nil || replay {
+		t.Fatalf("first claim: replay %v err %v", replay, err)
+	}
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	if _, _, _, err := st.claim(short, "k"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("claim of a held key: err %v, want it to wait out the deadline", err)
+	}
+	done() // the holder failed: the next claimant holds the key
+	_, replay, done, err = st.claim(ctx, "k")
+	if err != nil || replay {
+		t.Fatalf("claim after a failed holder: replay %v err %v", replay, err)
+	}
+	got := make(chan factorizeResponse, 1)
+	go func() {
+		resp, replay, _, err := st.claim(ctx, "k")
+		if err != nil || !replay {
+			t.Errorf("waiting claim: replay %v err %v", replay, err)
+		}
+		got <- resp
+	}()
+	st.put("k", "h", factorizeResponse{Handle: "h"})
+	done()
+	if resp := <-got; resp.Handle != "h" {
+		t.Fatalf("waiting claim replayed handle %q, want h", resp.Handle)
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -19,18 +20,19 @@ import (
 // checked on get and swept from the FIFO head on put, which keeps both
 // operations O(1) amortized with no background goroutine.
 //
-// Replay is best-effort across concurrent duplicates: two simultaneous
-// first requests with one key may both factorize (no single-flight); the
-// second put wins and later retries replay it. Sequential retries — the
-// gateway's pattern — always replay.
+// Concurrent duplicates are single-flighted through claim: a request whose
+// key is already in flight — a gateway factorize racing the repair loop's
+// import of the same factor, say — waits for the holder and replays its
+// response instead of committing a second factor.
 type idemStore struct {
 	mu       sync.Mutex
 	max      int
 	ttl      time.Duration
 	now      func() time.Time // injectable for tests
 	m        map[string]idemEntry
-	byHandle map[string]string // handle → key, for release-time invalidation
-	order    []string          // insertion order, oldest first
+	byHandle map[string]string        // handle → key, for release-time invalidation
+	order    []string                 // insertion order, oldest first
+	inflight map[string]chan struct{} // claimed keys; closed when the holder is done
 }
 
 type idemEntry struct {
@@ -45,13 +47,46 @@ func newIdemStore(max int, ttl time.Duration) *idemStore {
 		now:      time.Now,
 		m:        make(map[string]idemEntry),
 		byHandle: make(map[string]string),
+		inflight: make(map[string]chan struct{}),
 	}
 }
 
-// get returns the remembered response for key, if any and not expired.
-func (s *idemStore) get(key string) (factorizeResponse, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// claim looks key up for a request about to commit under it. A remembered
+// response comes back with replay true. Otherwise the caller holds the key
+// and must call done once it has finished — after put on success, or alone
+// on failure; until then a claim of the same key waits. claim fails only
+// when ctx ends while it waits.
+func (s *idemStore) claim(ctx context.Context, key string) (resp factorizeResponse, replay bool, done func(), err error) {
+	for {
+		s.mu.Lock()
+		if resp, ok := s.getLocked(key); ok {
+			s.mu.Unlock()
+			return resp, true, nil, nil
+		}
+		busy, ok := s.inflight[key]
+		if !ok {
+			ch := make(chan struct{})
+			s.inflight[key] = ch
+			s.mu.Unlock()
+			return factorizeResponse{}, false, func() {
+				s.mu.Lock()
+				delete(s.inflight, key)
+				s.mu.Unlock()
+				close(ch)
+			}, nil
+		}
+		s.mu.Unlock()
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return factorizeResponse{}, false, nil, ctx.Err()
+		}
+	}
+}
+
+// getLocked returns the remembered response for key, if any and not
+// expired. s.mu must be held.
+func (s *idemStore) getLocked(key string) (factorizeResponse, bool) {
 	e, ok := s.m[key]
 	if !ok {
 		return factorizeResponse{}, false

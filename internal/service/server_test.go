@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -47,8 +48,7 @@ func postJSON(t *testing.T, url string, body, into any) (status int) {
 // End-to-end over real HTTP: analyze twice (second is a cache hit),
 // factorize against the cached analysis, fire k concurrent solves that ride
 // the batcher, and check every returned column is bit-identical to an
-// independent SolveParallel call against the same factor — the PR's
-// acceptance criterion.
+// independent SolveOpts call against the same factor.
 func TestServerEndToEnd(t *testing.T) {
 	s, err := New(Config{
 		Solver:      pastix.Options{Processors: 3},
@@ -142,22 +142,23 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Bit-identity: each batched column must equal an independent
-	// single-RHS SolveParallel against the very same analysis and factor.
+	// single-RHS SolveOpts against the very same analysis and factor.
 	e, err := s.store.Get(fr.Handle)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < k; i++ {
-		want, err := e.an.SolveParallel(e.f, bs[i])
+		res, err := e.an.SolveOpts(context.Background(), e.f, bs[i], pastix.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := res.X
 		if len(xs[i]) != n {
 			t.Fatalf("solve %d returned %d values, want %d", i, len(xs[i]), n)
 		}
 		for j := range want {
 			if xs[i][j] != want[j] {
-				t.Fatalf("solve %d: x[%d] = %v, independent SolveParallel = %v (not bit-identical)",
+				t.Fatalf("solve %d: x[%d] = %v, independent SolveOpts = %v (not bit-identical)",
 					i, j, xs[i][j], want[j])
 			}
 		}

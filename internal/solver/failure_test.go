@@ -78,7 +78,7 @@ func TestZeroPivotErrorSharedMemory(t *testing.T) {
 	a := singularMatrix(10, 10, 33)
 	an := analyzeFor(t, a, 4)
 	before := runtime.NumGoroutine()
-	_, err := FactorizeSharedCtx(context.Background(), an.A, an.Sched, nil, StaticPivot{})
+	_, err := an.FactorizeOptsCtx(context.Background(), ParOptions{Runtime: RuntimeShared})
 	if err == nil {
 		t.Fatal("expected zero-pivot error")
 	}

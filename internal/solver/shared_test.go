@@ -1,13 +1,13 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/pastix-go/pastix/internal/gen"
-	"github.com/pastix-go/pastix/internal/sched"
 	"github.com/pastix-go/pastix/internal/sparse"
 )
 
@@ -95,11 +95,15 @@ func TestSharedMetamorphicEquality(t *testing.T) {
 				for newI, old := range an.Perm {
 					pb[newI] = b[old]
 				}
-				for mode, px := range map[string][]float64{
-					"seq":    sh.Solve(pb),
-					"shared": mustSolve(t, SolveShared, an.Sched, sh, pb),
-					"mpsim":  mustSolve(t, SolvePar, an.Sched, sh, pb),
-				} {
+				xl, err := SolveLevelCtx(context.Background(), an.SolvePlanFor(P), sh, pb, LevelOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				xm, err := SolveParManyOpts(context.Background(), an.Sched, sh, pb, 1, SolveOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for mode, px := range map[string][]float64{"seq": sh.Solve(pb), "level": xl, "mpsim": xm} {
 					maxErr := 0.0
 					for newI, old := range an.Perm {
 						if e := math.Abs(px[newI] - x[old]); e > maxErr {
@@ -118,16 +122,7 @@ func TestSharedMetamorphicEquality(t *testing.T) {
 	}
 }
 
-func mustSolve(t *testing.T, solve func(*sched.Schedule, *Factors, []float64) ([]float64, error), sch *sched.Schedule, f *Factors, b []float64) []float64 {
-	t.Helper()
-	x, err := solve(sch, f, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x
-}
-
-// TestSharedViaParOptions covers the ParOptions.SharedMemory dispatch.
+// TestSharedViaParOptions covers the ParOptions.Runtime shared dispatch.
 func TestSharedViaParOptions(t *testing.T) {
 	a := laplacian2D(18, 18)
 	an := analyzeFor(t, a, 4)
@@ -135,19 +130,11 @@ func TestSharedViaParOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := FactorizeParStats(an.A, an.Sched, ParOptions{SharedMemory: true})
+	got, err := an.FactorizeOpts(ParOptions{Runtime: RuntimeShared})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats.Messages != 0 || stats.Bytes != 0 {
-		t.Fatalf("shared runtime reported traffic: %+v", stats)
 	}
 	factorsClose(t, ref, got, 1e-11)
-	got2, err := an.FactorizeOpts(ParOptions{SharedMemory: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	factorsClose(t, ref, got2, 1e-11)
 }
 
 // TestSharedExercises2DTasks makes sure the corpus is not dodging the 2D
@@ -220,7 +207,7 @@ func TestSharedStress(t *testing.T) {
 			t.Fatalf("iter %d P=%d: %v", it, pr.an.Sched.P, err)
 		}
 		factorsClose(t, ref, f, 1e-11)
-		got, err := SolveShared(pr.an.Sched, f, pr.pb)
+		got, err := SolveLevelCtx(context.Background(), pr.an.SolvePlanFor(pr.an.Sched.P), f, pr.pb, LevelOptions{})
 		if err != nil {
 			t.Fatalf("iter %d P=%d solve: %v", it, pr.an.Sched.P, err)
 		}

@@ -32,13 +32,13 @@ func solveConformanceCorpus() []solveConformanceCase {
 // TestSolveConformanceTable is the cross-runtime solve conformance table of
 // the solve-path engine: every generator family × factors from the
 // sequential, shared and dynamic runtimes × the level-set engine (static
-// and dynamic dispatch) vs the legacy sweeps × 1 and 32 right-hand sides.
+// and dynamic dispatch) vs the message-passing panel sweep × 1 and 32
+// right-hand sides.
 //
 // The level-set legs assert BITWISE equality against the sequential
-// Factors.Solve of each column — the engine's core contract. The legacy
-// shared sweep accumulates contributions in arrival order under a lock, so
-// it is only equal to rounding; its legs assert a tolerance, which is
-// exactly why the level-set engine replaces it as the default.
+// Factors.Solve of each column — the engine's core contract. The
+// message-passing sweep sums remote contributions in a different order, so
+// it is only equal to rounding; its legs assert a tolerance.
 func TestSolveConformanceTable(t *testing.T) {
 	const nrhsWide = 32
 	for _, tc := range solveConformanceCorpus() {
@@ -86,13 +86,6 @@ func TestSolveConformanceTable(t *testing.T) {
 						}
 					}
 				}
-
-				// Legacy shared sweep (single RHS) — rounding-level agreement.
-				xs, err := SolveShared(an.Sched, f, pb)
-				if err != nil {
-					t.Fatalf("%v legacy shared: %v", rt, err)
-				}
-				legacyClose(t, tc.name+"/legacy-shared", xs, refs[0])
 
 				// Legacy panel sweep (mpsim data distribution) — rounding-level.
 				xm, err := SolveParManyOpts(context.Background(), an.Sched, f, panel, nrhsWide, SolveOptions{})

@@ -327,27 +327,3 @@ func TestScheduleReuseAcrossValues(t *testing.T) {
 
 var _ = etree.AmalgamateOptions{} // keep import for future options in tests
 var _ = sched.Options{}
-
-func TestSolveManyMatchesSingleSolves(t *testing.T) {
-	a := laplacian2D(13, 13)
-	an := analyzeFor(t, a, 1)
-	f, err := an.Factorize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := a.N
-	const nrhs = 4
-	b := make([]float64, n*nrhs)
-	for i := range b {
-		b[i] = float64((i*7)%11) - 5
-	}
-	got := f.SolveMany(b, nrhs)
-	for r := 0; r < nrhs; r++ {
-		want := f.Solve(b[r*n : (r+1)*n])
-		for i := 0; i < n; i++ {
-			if math.Abs(got[i+r*n]-want[i]) > 1e-11*(1+math.Abs(want[i])) {
-				t.Fatalf("rhs %d: x[%d]=%g want %g", r, i, got[i+r*n], want[i])
-			}
-		}
-	}
-}

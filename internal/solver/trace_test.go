@@ -18,16 +18,11 @@ import (
 // of the recorded task durations.
 func TestTraceCoversSchedule(t *testing.T) {
 	a := gen.Laplacian3D(8, 8, 8)
-	for _, shared := range []bool{false, true} {
-		name := "mpsim"
-		if shared {
-			name = "shared"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, rt := range []Runtime{RuntimeMPSim, RuntimeShared} {
+		t.Run(rt.String(), func(t *testing.T) {
 			an := analyzeFor(t, a, 4)
 			rec := trace.New(4, 0)
-			_, _, err := FactorizeParStatsCtx(context.Background(), an.A, an.Sched,
-				ParOptions{SharedMemory: shared, Trace: rec})
+			_, err := an.FactorizeOptsCtx(context.Background(), ParOptions{Runtime: rt, Trace: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +47,7 @@ func TestTraceCoversSchedule(t *testing.T) {
 			if rp.MeasuredMakespan <= 0 {
 				t.Fatalf("measured makespan %g, want > 0", rp.MeasuredMakespan)
 			}
-			if shared {
+			if rt == RuntimeShared {
 				if rp.MsgsSent != 0 {
 					t.Fatalf("shared runtime sent %d messages, want 0", rp.MsgsSent)
 				}
@@ -108,10 +103,10 @@ func TestFactorizeCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	base := runtime.NumGoroutine()
-	for _, shared := range []bool{false, true} {
-		_, _, err := FactorizeParStatsCtx(ctx, an.A, an.Sched, ParOptions{SharedMemory: shared})
+	for _, rt := range []Runtime{RuntimeMPSim, RuntimeShared} {
+		_, err := an.FactorizeOptsCtx(ctx, ParOptions{Runtime: rt})
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("shared=%v: got %v, want context.Canceled", shared, err)
+			t.Fatalf("%v: got %v, want context.Canceled", rt, err)
 		}
 	}
 	waitGoroutines(t, base)
@@ -123,7 +118,7 @@ func TestFactorizeCtxPreCancelled(t *testing.T) {
 // goroutines unwound either way.
 func TestFactorizeCtxCancelMidRun(t *testing.T) {
 	a := gen.Laplacian3D(10, 10, 10)
-	for _, shared := range []bool{false, true} {
+	for _, rt := range []Runtime{RuntimeMPSim, RuntimeShared} {
 		an := analyzeFor(t, a, 4)
 		base := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
@@ -131,16 +126,16 @@ func TestFactorizeCtxCancelMidRun(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 			cancel()
 		}()
-		_, _, err := FactorizeParStatsCtx(ctx, an.A, an.Sched, ParOptions{SharedMemory: shared})
+		_, err := an.FactorizeOptsCtx(ctx, ParOptions{Runtime: rt})
 		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("shared=%v: got %v, want nil or context.Canceled", shared, err)
+			t.Fatalf("%v: got %v, want nil or context.Canceled", rt, err)
 		}
 		cancel()
 		waitGoroutines(t, base+1) // +1 tolerates the exiting cancel goroutine
 	}
 }
 
-// TestSolveCtxPreCancelled covers both parallel solve runtimes.
+// TestSolveCtxPreCancelled covers the message-passing and level-set solves.
 func TestSolveCtxPreCancelled(t *testing.T) {
 	a := laplacian2D(15, 15)
 	an := analyzeFor(t, a, 4)
@@ -154,11 +149,11 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveParCtx(ctx, an.Sched, f, b, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveParCtx: got %v, want context.Canceled", err)
+	if _, err := SolveParManyOpts(ctx, an.Sched, f, b, 1, SolveOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveParManyOpts: got %v, want context.Canceled", err)
 	}
-	if _, err := SolveSharedCtx(ctx, an.Sched, f, b, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveSharedCtx: got %v, want context.Canceled", err)
+	if _, err := SolveLevelCtx(ctx, an.SolvePlanFor(4), f, b, LevelOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveLevelCtx: got %v, want context.Canceled", err)
 	}
 }
 
@@ -179,9 +174,9 @@ func TestTracedSolvePhases(t *testing.T) {
 		rec := trace.New(4, 0)
 		var serr error
 		if shared {
-			_, serr = SolveSharedCtx(context.Background(), an.Sched, f, b, rec)
+			_, serr = SolveLevelCtx(context.Background(), an.SolvePlanFor(4), f, b, LevelOptions{Trace: rec})
 		} else {
-			_, serr = SolveParCtx(context.Background(), an.Sched, f, b, rec)
+			_, serr = SolveParManyOpts(context.Background(), an.Sched, f, b, 1, SolveOptions{Trace: rec})
 		}
 		if serr != nil {
 			t.Fatal(serr)

@@ -2,6 +2,7 @@ package pastix
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -35,12 +36,12 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 // TestPublicAPISharedMemoryRoundTrip exercises the zero-copy shared-memory
-// runtime through the public surface: Options.SharedMemory must route both
-// Factorize and SolveParallel to it, with the same answers as the default
-// message-passing runtime.
+// runtime through the public surface: Runtime: RuntimeShared must route both
+// Factorize and the default solve to it, with the same answers as the
+// sequential reference.
 func TestPublicAPISharedMemoryRoundTrip(t *testing.T) {
 	a := gen.Laplacian2D(14, 14)
-	an, err := Analyze(a, Options{Processors: 4, BlockSize: 16, Ratio2D: 2, SharedMemory: true})
+	an, err := Analyze(a, Options{Processors: 4, BlockSize: 16, Ratio2D: 2, Runtime: RuntimeShared})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +50,12 @@ func TestPublicAPISharedMemoryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, b := gen.RHSForSolution(a)
-	for name, solve := range map[string]func(*Factor, []float64) ([]float64, error){
-		"Solve":         an.Solve,
-		"SolveParallel": an.SolveParallel,
-	} {
-		got, err := solve(f, b)
+	for name, opts := range map[string]SolveOptions{"Solve": {Runtime: RuntimeSequential}, "SolveOpts": {}} {
+		res, err := an.SolveOpts(context.Background(), f, b, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		got := res.X
 		for i := range x {
 			if math.Abs(got[i]-x[i]) > 1e-9 {
 				t.Fatalf("%s: x[%d]=%g want %g", name, i, got[i], x[i])
@@ -83,10 +82,11 @@ func TestPublicAPIDynamicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, b := gen.RHSForSolution(a)
-	got, err := an.SolveParallel(f, b)
+	res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.X
 	for i := range x {
 		if math.Abs(got[i]-x[i]) > 1e-9 {
 			t.Fatalf("x[%d]=%g want %g", i, got[i], x[i])
@@ -105,15 +105,11 @@ func TestPublicAPIDynamicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotS, err := anS.SolveParallel(fS, b)
+	resS, err := anS.SolveOpts(context.Background(), fS, b, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range gotS {
-		if got[i] != gotS[i] {
-			t.Fatalf("x[%d] = %x dynamic vs %x shared (not bit-identical)", i, got[i], gotS[i])
-		}
-	}
+	bitwiseSame(t, "dynamic vs shared", got, resS.X)
 }
 
 // TestParseRuntime pins the public runtime-name surface shared by the CLIs.
@@ -135,15 +131,6 @@ func TestParseRuntime(t *testing.T) {
 	}
 	if _, err := ParseRuntime("gpu"); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("ParseRuntime(gpu) = %v, want ErrBadOptions", err)
-	}
-	// SharedMemory conflicts with a non-shared explicit runtime.
-	a := gen.Laplacian2D(8, 8)
-	if _, err := Analyze(a, Options{Processors: 2, SharedMemory: true, Runtime: RuntimeMPSim}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("SharedMemory+RuntimeMPSim not rejected: %v", err)
-	}
-	// ...but agrees with RuntimeShared.
-	if _, err := Analyze(a, Options{Processors: 2, SharedMemory: true, Runtime: RuntimeShared}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -251,19 +238,20 @@ func TestSolveParallelAndRefined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := an.SolveParallel(f, b)
+	par, err := an.SolveOpts(context.Background(), f, b, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range seq {
-		if math.Abs(seq[i]-par[i]) > 1e-11*(1+math.Abs(seq[i])) {
+		if math.Abs(seq[i]-par.X[i]) > 1e-11*(1+math.Abs(seq[i])) {
 			t.Fatalf("parallel solve differs at %d", i)
 		}
 	}
-	ref, err := an.SolveRefined(f, b, 3)
+	res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{Runtime: RuntimeSequential, Refine: &RefineOptions{MaxIter: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := res.X
 	for i := range x {
 		if math.Abs(ref[i]-x[i]) > 1e-10 {
 			t.Fatalf("refined solve off at %d", i)
@@ -342,10 +330,11 @@ func TestSolveManyPublic(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%13) - 6
 	}
-	got, err := an.SolveMany(f, b, nrhs)
+	res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{NRHS: nrhs, Runtime: RuntimeSequential})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.X
 	for r := 0; r < nrhs; r++ {
 		want, err := an.Solve(f, b[r*n:(r+1)*n])
 		if err != nil {
@@ -357,10 +346,10 @@ func TestSolveManyPublic(t *testing.T) {
 			}
 		}
 	}
-	if _, err := an.SolveMany(f, b, 0); err == nil {
-		t.Fatal("nrhs=0 must error")
+	if _, err := an.SolveOpts(context.Background(), f, b, SolveOptions{NRHS: -1}); err == nil {
+		t.Fatal("nrhs=-1 must error")
 	}
-	if _, err := an.SolveMany(f, b[:n], nrhs); err == nil {
+	if _, err := an.SolveOpts(context.Background(), f, b[:n], SolveOptions{NRHS: nrhs}); err == nil {
 		t.Fatal("short panel must error")
 	}
 }

@@ -18,8 +18,8 @@ type RefineOptions struct {
 	MaxIter int
 }
 
-// SolveOptions configures SolveOpts, the unified solve entry point every
-// other Solve* variant is a wrapper over.
+// SolveOptions configures SolveOpts, the unified solve entry point
+// Analysis.Solve and SolveParallelTraced are wrappers over.
 type SolveOptions struct {
 	// NRHS is the number of right-hand sides: b is an n×NRHS column-major
 	// panel in the original ordering. 0 means 1.
@@ -28,21 +28,18 @@ type SolveOptions struct {
 	// analysis runtime, and when that is also Auto picks sequential on one
 	// processor (untraced) and the level-set engine otherwise.
 	//
-	//   - RuntimeSequential: the reference kernels (Factors.Solve, or the
-	//     blocked panel kernels for NRHS > 1).
+	//   - RuntimeSequential: the reference kernel (Factors.Solve), once per
+	//     column.
 	//   - RuntimeShared: the level-set engine with the static cost-balanced
 	//     partition of each level.
 	//   - RuntimeDynamic: the level-set engine with dynamic (atomic-fetch)
 	//     cell dispatch inside each level.
 	//   - RuntimeMPSim: the paper-faithful message-passing panel sweep.
 	//
-	// Both level-set dispatch modes and the sequential single-RHS path return
-	// bitwise-identical solutions (contributions are pulled in the canonical
-	// sequential order); RuntimeMPSim matches to rounding. For NRHS > 1 the
-	// sequential panel kernels scale by reciprocal pivots, so they differ
-	// from the level-set engine in the last bits (the level-set engine is
-	// per-column bit-identical to the single-RHS sequential solve, which is
-	// the stronger contract).
+	// Both level-set dispatch modes and the sequential engine return
+	// bitwise-identical solutions at every NRHS, column by column
+	// (contributions are pulled in the canonical sequential order);
+	// RuntimeMPSim matches to rounding.
 	Runtime Runtime
 	// Refine, when non-nil, applies adaptive iterative refinement to every
 	// solution column and reports the aggregated RefineStats in the result.
@@ -84,7 +81,7 @@ func (an *Analysis) SolveOpts(ctx context.Context, f *Factor, b []float64, opts 
 	return an.solveOpts(ctx, f, b, opts, nil)
 }
 
-// solveOpts is the core every Solve* entry point funnels through; rec is the
+// solveOpts is the core every solve entry point funnels through; rec is the
 // caller-owned recorder SolveParallelTraced appends into (nil otherwise,
 // mutually exclusive with opts.Trace).
 func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts SolveOptions, rec *trace.Recorder) (*SolveResult, error) {
@@ -174,10 +171,8 @@ func (an *Analysis) solveOpts(ctx context.Context, f *Factor, b []float64, opts 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if nrhs == 1 {
-			px = f.inner.Solve(pb)
-		} else {
-			px = f.inner.SolveMany(pb, nrhs)
+		for r := 0; r < nrhs; r++ {
+			px = append(px, f.inner.Solve(pb[r*n:(r+1)*n])...)
 		}
 	case RuntimeMPSim:
 		px, err = solver.SolveParManyOpts(ctx, sch, f.inner, pb, nrhs,

@@ -36,11 +36,13 @@ func bitwiseSame(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestSolveOptsWrapperEquivalence is the API-consolidation contract: every
-// deprecated Solve* wrapper returns outputs bit-identical to the SolveOpts
-// call it now delegates to, on analyses configured for each runtime.
+// TestSolveOptsWrapperEquivalence is the API-consolidation contract: Solve
+// returns outputs bit-identical to the SolveOpts call it delegates to, and
+// the sequential engine at NRHS 32 returns, column by column, exactly what
+// Solve and the level-set engine return — on analyses configured for each
+// runtime.
 func TestSolveOptsWrapperEquivalence(t *testing.T) {
-	const nrhs = 4
+	const nrhs = 32
 	ctx := context.Background()
 	for _, cfg := range []struct {
 		name string
@@ -72,59 +74,22 @@ func TestSolveOptsWrapperEquivalence(t *testing.T) {
 			}
 			bitwiseSame(t, "Solve", x1, r1.X)
 
-			x2, err := an.SolveMany(f, panel, nrhs)
+			seq, err := an.SolveOpts(ctx, f, panel, SolveOptions{NRHS: nrhs, Runtime: RuntimeSequential})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := an.SolveOpts(ctx, f, panel, SolveOptions{NRHS: nrhs, Runtime: RuntimeSequential})
+			level, err := an.SolveOpts(ctx, f, panel, SolveOptions{NRHS: nrhs, Runtime: RuntimeShared})
 			if err != nil {
 				t.Fatal(err)
 			}
-			bitwiseSame(t, "SolveMany", x2, r2.X)
-
-			x3, err := an.SolveParallel(f, b)
-			if err != nil {
-				t.Fatal(err)
+			for r := 0; r < nrhs; r++ {
+				col, err := an.Solve(f, panel[r*n:(r+1)*n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				bitwiseSame(t, "sequential panel vs Solve", seq.X[r*n:(r+1)*n], col)
+				bitwiseSame(t, "sequential panel vs level-set", seq.X[r*n:(r+1)*n], level.X[r*n:(r+1)*n])
 			}
-			r3, err := an.SolveOpts(ctx, f, b, SolveOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseSame(t, "SolveParallel", x3, r3.X)
-
-			x4, err := an.SolveParallelMany(f, panel, nrhs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r4, err := an.SolveOpts(ctx, f, panel, SolveOptions{NRHS: nrhs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseSame(t, "SolveParallelMany", x4, r4.X)
-
-			x5, st5, err := an.SolveRefinedStats(f, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r5, err := an.SolveOpts(ctx, f, b, SolveOptions{Runtime: RuntimeSequential, Refine: &RefineOptions{}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseSame(t, "SolveRefinedStats", x5, r5.X)
-			if r5.Refine == nil || r5.Refine.Iterations != st5.Iterations ||
-				r5.Refine.BackwardError != st5.BackwardError || r5.Refine.Converged != st5.Converged {
-				t.Fatalf("refine stats diverge: wrapper %+v, SolveOpts %+v", st5, r5.Refine)
-			}
-
-			x6, err := an.SolveRefined(f, b, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r6, err := an.SolveOpts(ctx, f, b, SolveOptions{Runtime: RuntimeSequential, Refine: &RefineOptions{MaxIter: 2}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitwiseSame(t, "SolveRefined", x6, r6.X)
 		})
 	}
 }
