@@ -53,12 +53,14 @@ numstress:
 
 # Dynamic-runtime stress soak: the work-stealing executor's unit and
 # steal-storm suites plus the cross-runtime conformance tests (every
-# generator × every runtime, dynamic bitwise-identical to shared across
-# seeds) under the race detector, repeated so rare steal interleavings get a
-# chance to fire.
+# generator and a complex symmetric input × every runtime, dynamic
+# bitwise-identical to shared across seeds, the complex factor pinned to its
+# golden hash) under the race detector, repeated so rare steal interleavings
+# get a chance to fire. The conformance leg runs at GOMAXPROCS 1, 2 and 4:
+# arrival-order nondeterminism hides at 1 and shows at 2.
 dynstress:
 	$(GO) test -race -timeout 300s -count=3 ./internal/dynsched
-	$(GO) test -race -timeout 300s -count=2 \
+	$(GO) test -race -timeout 300s -count=2 -cpu 1,2,4 \
 		-run 'RuntimeConformance|DynamicShared|DynamicSteal|DynamicTrace|DynamicRejects|DynamicHonors' \
 		./internal/solver
 

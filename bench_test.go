@@ -279,7 +279,7 @@ func BenchmarkComplexFactorization(b *testing.B) {
 	})
 	b.Run("Complex", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := solver.FactorizeZSeq(paz, an.Sym); err != nil {
+			if _, err := an.FactorizeComplexCtx(context.Background(), paz, solver.ParOptions{Runtime: solver.RuntimeSequential}); err != nil {
 				b.Fatal(err)
 			}
 		}

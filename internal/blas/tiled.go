@@ -15,7 +15,7 @@ const (
 )
 
 // gemmNDTTiled computes C -= A·diag(d)·Bᵀ by tiles.
-func gemmNDTTiled(m, n, k int, a []float64, lda int, d []float64, b []float64, ldb int, c []float64, ldc int) {
+func gemmNDTTiled[T Scalar](m, n, k int, a []T, lda int, d []T, b []T, ldb int, c []T, ldc int) {
 	for j0 := 0; j0 < n; j0 += tileN {
 		j1 := j0 + tileN
 		if j1 > n {
@@ -42,7 +42,7 @@ func gemmNDTTiled(m, n, k int, a []float64, lda int, d []float64, b []float64, l
 
 // GemmNDTAuto picks the plain or tiled kernel by problem size. The solver's
 // contribution computations call this.
-func GemmNDTAuto(m, n, k int, a []float64, lda int, d []float64, b []float64, ldb int, c []float64, ldc int) {
+func GemmNDTAuto[T Scalar](m, n, k int, a []T, lda int, d []T, b []T, ldb int, c []T, ldc int) {
 	if m*n*k >= tiledThreshold {
 		gemmNDTTiled(m, n, k, a, lda, d, b, ldb, c, ldc)
 		return

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/cost"
 	"github.com/pastix-go/pastix/internal/etree"
 	"github.com/pastix-go/pastix/internal/graph"
@@ -197,6 +198,28 @@ func (an *Analysis) FactorizeOptsCtx(ctx context.Context, popts ParOptions) (*Fa
 // pass serves every matrix sharing the pattern. The caller is responsible
 // for pa actually having the analysed pattern.
 func (an *Analysis) FactorizeMatrixOptsCtx(ctx context.Context, pa *sparse.SymMatrix, popts ParOptions) (*Factors, error) {
+	s, perts, err := factorize(ctx, an, pa, popts)
+	if err != nil {
+		return nil, err
+	}
+	return withReport(s, popts.Pivot, pa, perts), nil
+}
+
+// FactorizeComplexCtx is FactorizeMatrixOptsCtx for a complex symmetric
+// matrix: the same runtimes, canonical contribution order, tracing and fault
+// injection run over complex128 storage. Static pivoting is defined for real
+// matrices only, so an enabled popts.Pivot is an error.
+func (an *Analysis) FactorizeComplexCtx(ctx context.Context, paz *sparse.ZSymMatrix, popts ParOptions) (*Store[complex128], error) {
+	if popts.Pivot.Enabled() {
+		return nil, fmt.Errorf("solver: static pivoting needs a real matrix")
+	}
+	s, _, err := factorize(ctx, an, paz, popts)
+	return s, err
+}
+
+// factorize selects and runs the runtime popts names over element type T,
+// returning the factor and its static-pivot substitutions.
+func factorize[T blas.Scalar](ctx context.Context, an *Analysis, pa *sparse.Sym[T], popts ParOptions) (*Store[T], []Perturbation, error) {
 	rt := popts.Runtime
 	if rt == RuntimeAuto {
 		switch {
@@ -210,26 +233,28 @@ func (an *Analysis) FactorizeMatrixOptsCtx(ctx context.Context, pa *sparse.SymMa
 		}
 	}
 	if rt != RuntimeMPSim && popts.Faults.Active() {
-		return nil, fmt.Errorf("solver: fault injection requires the message-passing runtime, not %v", rt)
+		return nil, nil, fmt.Errorf("solver: fault injection requires the message-passing runtime, not %v", rt)
 	}
 	switch rt {
 	case RuntimeSequential:
 		if popts.Trace != nil {
-			return nil, fmt.Errorf("solver: tracing requires a parallel runtime, not %v", rt)
+			return nil, nil, fmt.Errorf("solver: tracing requires a parallel runtime, not %v", rt)
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return FactorizeSeqPivot(pa, an.Sym, popts.Pivot)
+		tau, _ := pivotThreshold(popts.Pivot, pa)
+		return factorizeSeq(pa, an.Sym, tau)
 	case RuntimeShared:
-		return FactorizeSharedCtx(ctx, pa, an.Sched, popts.Trace, popts.Pivot)
+		return factorizeShared(ctx, pa, an.Sched, popts.Trace, popts.Pivot)
 	case RuntimeDynamic:
-		return FactorizeDynamicCtx(ctx, pa, an.Sched, popts.Trace, popts.Pivot)
+		s, perts, _, err := factorizeDynamic(ctx, pa, an.Sched, popts.Trace, popts.Pivot)
+		return s, perts, err
 	case RuntimeMPSim:
-		f, _, err := FactorizeParStatsCtx(ctx, pa, an.Sched, popts)
-		return f, err
+		s, perts, _, err := factorizePar(ctx, pa, an.Sched, popts)
+		return s, perts, err
 	}
-	return nil, fmt.Errorf("solver: unknown runtime %v", popts.Runtime)
+	return nil, nil, fmt.Errorf("solver: unknown runtime %v", popts.Runtime)
 }
 
 // SolveOriginal solves A·x = b in the ORIGINAL ordering: b is permuted in,

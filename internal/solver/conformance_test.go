@@ -2,11 +2,14 @@ package solver
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
 
+	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/faults"
 	"github.com/pastix-go/pastix/internal/gen"
 	"github.com/pastix-go/pastix/internal/sparse"
@@ -56,11 +59,12 @@ func factorizeRT(t *testing.T, an *Analysis, rt Runtime, sp StaticPivot, traced 
 
 // TestRuntimeConformance is the cross-runtime conformance suite of the
 // dynamic-runtime work: every generator family × all four runtimes ×
-// {pivot off, pivot on} × {untraced, traced}. The deterministic runtimes
-// (sequential, shared, dynamic) must agree BITWISE on factor data, publish
-// reflect.DeepEqual perturbation reports, and return bitwise-equal solve
-// vectors; the message-passing simulator must agree to aggregation rounding
-// (≤1e-11 entrywise on these scales) with an identical report, and must be
+// {pivot off, pivot on} × {untraced, traced}, plus a complex symmetric input
+// of the same runtimes. The deterministic runtimes (sequential, shared,
+// dynamic) must agree BITWISE on factor data, publish reflect.DeepEqual
+// perturbation reports, and return bitwise-equal solve vectors; the
+// message-passing simulator must agree to aggregation rounding (≤1e-11
+// entrywise on these scales) with an identical report, and must be
 // bitwise-reproducible against itself.
 func TestRuntimeConformance(t *testing.T) {
 	for _, tc := range conformanceCorpus() {
@@ -74,51 +78,133 @@ func TestRuntimeConformance(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/pivot=%v", tc.name, pivOn), func(t *testing.T) {
 				an := analyzeFor(t, tc.a, 4)
-				ref, _ := factorizeRT(t, an, RuntimeSequential, sp, false)
 				_, b := gen.RHSForSolution(tc.a)
-				refX := an.SolveOriginal(ref, b)
-
-				for _, rt := range []Runtime{RuntimeShared, RuntimeDynamic} {
-					for _, traced := range []bool{false, true} {
-						f, _ := factorizeRT(t, an, rt, sp, traced)
-						name := fmt.Sprintf("%v/traced=%v", rt, traced)
-						bitwiseEqualFactorsNamed(t, ref, f, name)
-						if !reflect.DeepEqual(ref.Pivots, f.Pivots) {
-							t.Fatalf("%s: perturbation report differs:\nseq: %+v\ngot: %+v", name, ref.Pivots, f.Pivots)
-						}
-						x := an.SolveOriginal(f, b)
-						for i := range refX {
-							if x[i] != refX[i] {
-								t.Fatalf("%s: solve x[%d] = %x, seq %x (not bit-identical)", name, i, x[i], refX[i])
-							}
-						}
-					}
-				}
-
-				// mpsim: deterministic (bitwise against itself) and equal to the
-				// reference to aggregation rounding; same report.
-				for _, traced := range []bool{false, true} {
-					f1, _ := factorizeRT(t, an, RuntimeMPSim, sp, traced)
-					f2, _ := factorizeRT(t, an, RuntimeMPSim, sp, traced)
-					name := fmt.Sprintf("mpsim/traced=%v", traced)
-					bitwiseEqualFactorsNamed(t, f1, f2, name+" (run-to-run)")
-					factorsClose(t, ref, f1, 1e-11)
-					if !reflect.DeepEqual(ref.Pivots, f1.Pivots) {
-						t.Fatalf("%s: perturbation report differs from seq", name)
-					}
-					x := an.SolveOriginal(f1, b)
-					for i := range refX {
-						if d := math.Abs(x[i] - refX[i]); d > 1e-9 {
-							t.Fatalf("%s: solve x[%d] off by %g", name, i, d)
-						}
-					}
-				}
+				checkConformance(t, an, b, func(rt Runtime, traced bool) (*Store[float64], *PerturbationReport) {
+					f, _ := factorizeRT(t, an, rt, sp, traced)
+					return &f.Store, f.Pivots
+				})
 			})
+		}
+	}
+	t.Run("zlaplacian-16x16/complex", func(t *testing.T) {
+		an, paz := zAnalyze(t, zLaplacian(16, 16), 4)
+		checkConformance(t, an, zRHS(paz.N), func(rt Runtime, traced bool) (*Store[complex128], *PerturbationReport) {
+			return zFactorizeRT(t, an, paz, rt, traced, nil), nil
+		})
+	})
+}
+
+// TestRuntimeConformanceComplexGolden pins the complex arithmetic: the
+// sequential complex factor must hash to the value recorded from the former
+// dedicated complex kernels, which ran the same operations in the same
+// order. Any other hash means the generic code changed the arithmetic.
+func TestRuntimeConformanceComplexGolden(t *testing.T) {
+	an, paz := zAnalyze(t, zLaplacian(16, 16), 4)
+	const golden = 0x58272bcb6e83c026
+	if h := storeHash(zFactorizeRT(t, an, paz, RuntimeSequential, false, nil)); h != golden {
+		t.Fatalf("sequential complex factor hash %016x, want %016x", h, uint64(golden))
+	}
+}
+
+// TestRuntimeConformanceComplexFaults is the chaos leg of the complex
+// conformance input: the message-passing runtime under every wire fault
+// class, crashes and a stall — with and without fan-both spills — must
+// reproduce the fault-free complex factor bit for bit.
+func TestRuntimeConformanceComplexFaults(t *testing.T) {
+	an, paz := zAnalyze(t, zLaplacian(16, 16), 4)
+	seeds := 4
+	if testing.Short() {
+		seeds = 2
+	}
+	for _, maxAUB := range []int64{0, 512} {
+		ref := zFactorizeOpts(t, an, paz, ParOptions{Runtime: RuntimeMPSim, MaxAUBBytes: maxAUB})
+		for s := 0; s < seeds; s++ {
+			seed := int64(s*7919 + 5)
+			f := zFactorizeOpts(t, an, paz, ParOptions{Runtime: RuntimeMPSim, MaxAUBBytes: maxAUB, Faults: chaosPlan(seed)})
+			bitwiseEqualStores(t, ref, f, fmt.Sprintf("maxAUB=%d seed %d", maxAUB, seed))
 		}
 	}
 }
 
+// checkConformance runs the conformance assertions for one input over
+// element type T: factorize(rt, traced) factors it on runtime rt, b is the
+// right-hand side of the solve legs.
+func checkConformance[T blas.Scalar](t *testing.T, an *Analysis, b []T, factorize func(rt Runtime, traced bool) (*Store[T], *PerturbationReport)) {
+	t.Helper()
+	ref, refRep := factorize(RuntimeSequential, false)
+	refX := solveOriginal(an, ref, b)
+
+	for _, rt := range []Runtime{RuntimeShared, RuntimeDynamic} {
+		for _, traced := range []bool{false, true} {
+			f, rep := factorize(rt, traced)
+			name := fmt.Sprintf("%v/traced=%v", rt, traced)
+			bitwiseEqualStores(t, ref, f, name)
+			if !reflect.DeepEqual(refRep, rep) {
+				t.Fatalf("%s: perturbation report differs:\nseq: %+v\ngot: %+v", name, refRep, rep)
+			}
+			x := solveOriginal(an, f, b)
+			for i := range refX {
+				if x[i] != refX[i] {
+					t.Fatalf("%s: solve x[%d] = %x, seq %x (not bit-identical)", name, i, x[i], refX[i])
+				}
+			}
+		}
+	}
+
+	// mpsim: deterministic (bitwise against itself) and equal to the
+	// reference to aggregation rounding; same report.
+	for _, traced := range []bool{false, true} {
+		f1, rep := factorize(RuntimeMPSim, traced)
+		f2, _ := factorize(RuntimeMPSim, traced)
+		name := fmt.Sprintf("mpsim/traced=%v", traced)
+		bitwiseEqualStores(t, f1, f2, name+" (run-to-run)")
+		storesClose(t, ref, f1, 1e-11)
+		if !reflect.DeepEqual(refRep, rep) {
+			t.Fatalf("%s: perturbation report differs from seq", name)
+		}
+		x := solveOriginal(an, f1, b)
+		for i := range refX {
+			if d := blas.Abs(x[i] - refX[i]); d > 1e-9 {
+				t.Fatalf("%s: solve x[%d] off by %g", name, i, d)
+			}
+		}
+	}
+}
+
+// solveOriginal solves with the dense store in the original ordering.
+func solveOriginal[T blas.Scalar](an *Analysis, f *Store[T], b []T) []T {
+	pb := make([]T, len(b))
+	for newI, old := range an.Perm {
+		pb[newI] = b[old]
+	}
+	px := f.Solve(pb)
+	x := make([]T, len(b))
+	for newI, old := range an.Perm {
+		x[old] = px[newI]
+	}
+	return x
+}
+
+// storeHash is an FNV-1a hash over the bits of every stored element, cell
+// by cell (real then imaginary part for complex elements).
+func storeHash[T blas.Scalar](f *Store[T]) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for k := range f.Data {
+		for _, w := range asWire(f.Data[k]) {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
 func bitwiseEqualFactorsNamed(t *testing.T, ref, got *Factors, name string) {
+	t.Helper()
+	bitwiseEqualStores(t, &ref.Store, &got.Store, name)
+}
+
+func bitwiseEqualStores[T blas.Scalar](t *testing.T, ref, got *Store[T], name string) {
 	t.Helper()
 	for k := range ref.Data {
 		if len(ref.Data[k]) != len(got.Data[k]) {

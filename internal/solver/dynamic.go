@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 
+	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/dynsched"
 	"github.com/pastix-go/pastix/internal/sched"
 	"github.com/pastix-go/pastix/internal/sparse"
@@ -44,22 +45,32 @@ func FactorizeDynamicCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Sc
 // FactorizeDynamicStatsCtx is FactorizeDynamicCtx also reporting the
 // executor's stats (steal and park counts) for benchmarks and stress tests.
 func FactorizeDynamicStatsCtx(ctx context.Context, a *sparse.SymMatrix, sch *sched.Schedule, rec *trace.Recorder, sp StaticPivot) (*Factors, dynsched.Stats, error) {
+	s, perts, st, err := factorizeDynamic(ctx, a, sch, rec, sp)
+	if err != nil {
+		return nil, st, err
+	}
+	return withReport(s, sp, a, perts), st, nil
+}
+
+// factorizeDynamic is the work-stealing runtime over element type T. It
+// returns the factor, the static-pivot substitutions and the executor's
+// stats.
+func factorizeDynamic[T blas.Scalar](ctx context.Context, a *sparse.Sym[T], sch *sched.Schedule, rec *trace.Recorder, sp StaticPivot) (*Store[T], []Perturbation, dynsched.Stats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, dynsched.Stats{}, err
+		return nil, nil, dynsched.Stats{}, err
 	}
 	sr := newSharedRun(ctx, sch, rec, sp, a)
 	// Assembly reuses the static ownership partition — it is embarrassingly
 	// parallel, so there is nothing for stealing to improve.
 	if err := sr.runPhase(func(p int) error { return sr.assemble(a, p) }); err != nil {
-		return nil, dynsched.Stats{}, err
+		return nil, nil, dynsched.Stats{}, err
 	}
 	st, err := dynsched.Run(ctx, sch.DAG(), sch.P, sr.execTask)
 	if err != nil {
-		return nil, st, err
+		return nil, nil, st, err
 	}
 	if err := sr.runPhase(sr.scale); err != nil {
-		return nil, st, err
+		return nil, nil, st, err
 	}
-	sr.finishPivots(sp, a)
-	return sr.f, st, nil
+	return sr.f, sr.perts, st, nil
 }

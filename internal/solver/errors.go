@@ -116,6 +116,6 @@ func wrapPivot(colStart, k int, err error) error {
 }
 
 // pivotError is wrapPivot with the column start looked up from the symbol.
-func (f *Factors) pivotError(k int, err error) error {
+func (f *Store[T]) pivotError(k int, err error) error {
 	return wrapPivot(f.Sym.CB[k].Cols[0], k, err)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/sparse"
 )
 
@@ -89,12 +90,24 @@ func (r *PerturbationReport) Columns() []int {
 }
 
 // pivotThreshold returns (τ, ‖A‖_max) for factorizing a under sp.
-func pivotThreshold(sp StaticPivot, a *sparse.SymMatrix) (tau, normMax float64) {
+func pivotThreshold[T blas.Scalar](sp StaticPivot, a *sparse.Sym[T]) (tau, normMax float64) {
 	if !sp.Enabled() {
 		return 0, 0
 	}
 	normMax = a.NormMax()
 	return sp.Epsilon * normMax, normMax
+}
+
+// withReport wraps a finished real store as Factors, attaching the
+// static-pivoting report of its factorization from a under sp when pivoting
+// is enabled.
+func withReport(s *Store[float64], sp StaticPivot, a *sparse.SymMatrix, perts []Perturbation) *Factors {
+	f := &Factors{Store: *s}
+	if sp.Enabled() {
+		_, normMax := pivotThreshold(sp, a)
+		f.Pivots = buildReport(sp, normMax, perts, f)
+	}
+	return f
 }
 
 // buildReport assembles the published report from the collected

@@ -34,7 +34,7 @@ func TestAnalysisReuseAcrossArithmeticKinds(t *testing.T) {
 
 	// Complex factorization on the same schedule.
 	paz := az.Permute(an.Perm)
-	zf, err := FactorizeZPar(paz, an.Sched)
+	zf, err := zFactorize(an, paz, RuntimeMPSim)
 	if err != nil {
 		t.Fatal(err)
 	}

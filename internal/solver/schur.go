@@ -185,19 +185,9 @@ func (san *SchurAnalysis) FactorizeSchur() (*Factors, []float64, error) {
 		}
 	}
 	for k := 0; k < ncb-1; k++ {
-		if err := f.FactorDiag(k); err != nil {
+		if _, err := f.eliminate(k, 0); err != nil {
 			return nil, nil, err
 		}
-		f.SolvePanel(k)
-		d := f.Diag(k)
-		invd := make([]float64, len(d))
-		for i, v := range d {
-			invd[i] = 1 / v
-		}
-		if err := applyCellUpdates(f, k, invd); err != nil {
-			return nil, nil, err
-		}
-		f.ScalePanel(k, d)
 	}
 	// The terminal cell's diagonal region now holds S (lower triangle).
 	last := ncb - 1

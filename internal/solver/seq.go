@@ -9,10 +9,9 @@ import (
 )
 
 // targetOffset computes where the (s,t) contribution of cell k lands: the
-// destination cell, the linear offset of the region's top-left corner in
-// that cell's array, and whether the target is the (triangular) diagonal
-// region with s == t.
-func targetOffset(f *Factors, k, s, t int) (cell, offset int, err error) {
+// destination cell and the linear offset of the region's top-left corner in
+// that cell's array.
+func (f *Store[T]) targetOffset(k, s, t int) (cell, offset int, err error) {
 	cb := &f.Sym.CB[k]
 	bt := cb.Blocks[t]
 	bs := cb.Blocks[s]
@@ -33,37 +32,70 @@ func targetOffset(f *Factors, k, s, t int) (cell, offset int, err error) {
 	return fcell, lr + lc*f.LD[fcell], nil
 }
 
-// applyCellUpdates computes all outer-product contributions of cell k
-// (whose panel currently holds W = L·D) and subtracts them from the target
-// cells' arrays in f. invd is 1/D of cell k.
-func applyCellUpdates(f *Factors, k int, invd []float64) error {
+// applyUpdate subtracts the (s,t) outer-product contribution of cell k —
+// whose panel currently holds W = L·D, invd being 1/D — from its target.
+func (f *Store[T]) applyUpdate(k, s, t int, invd []T) error {
 	cb := &f.Sym.CB[k]
-	w := cb.Width()
+	fcell, off, err := f.targetOffset(k, s, t)
+	if err != nil {
+		return err
+	}
+	f.EnsureCell(fcell)
 	ld := f.LD[k]
-	data := f.Data[k]
-	for t := range cb.Blocks {
-		bt := &cb.Blocks[t]
-		rt := bt.Rows()
-		wt := data[f.BlockOff[k][t]:]
-		for s := t; s < len(cb.Blocks); s++ {
-			bs := &cb.Blocks[s]
-			rs := bs.Rows()
-			fcell, off, err := targetOffset(f, k, s, t)
-			if err != nil {
-				return err
-			}
-			f.EnsureCell(fcell)
-			dst := f.Data[fcell][off:]
-			ldf := f.LD[fcell]
-			ws := data[f.BlockOff[k][s]:]
-			if s == t {
-				blas.SyrkLowerNDT(rs, w, ws, ld, invd, dst, ldf)
-			} else {
-				blas.GemmNDTAuto(rs, rt, w, ws, ld, invd, wt, ld, dst, ldf)
+	ws := f.Data[k][f.BlockOff[k][s]:]
+	dst := f.Data[fcell][off:]
+	if s == t {
+		blas.SyrkLowerNDT(cb.Blocks[s].Rows(), cb.Width(), ws, ld, invd, dst, f.LD[fcell])
+	} else {
+		wt := f.Data[k][f.BlockOff[k][t]:]
+		blas.GemmNDTAuto(cb.Blocks[s].Rows(), cb.Blocks[t].Rows(), cb.Width(), ws, ld, invd, wt, ld, dst, f.LD[fcell])
+	}
+	return nil
+}
+
+// eliminate runs one right-looking step on cell k: factor its diagonal block
+// (pivots below tau substituted), solve the panel, subtract every
+// outer-product contribution from the target cells in the canonical order
+// (t ascending, then s), and scale the panel from W = L·D to L.
+func (f *Store[T]) eliminate(k int, tau float64) ([]Perturbation, error) {
+	perts, err := f.FactorDiagStatic(k, tau)
+	if err != nil {
+		return nil, err
+	}
+	f.SolvePanel(k)
+	d := f.Diag(k)
+	invd := inverse(d)
+	nb := len(f.Sym.CB[k].Blocks)
+	for t := 0; t < nb; t++ {
+		for s := t; s < nb; s++ {
+			if err := f.applyUpdate(k, s, t, invd); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return nil
+	f.ScalePanel(k, d)
+	return perts, nil
+}
+
+// factorizeSeq is the right-looking sequential supernodal LDLᵀ
+// factorization over element type T, returning the static-pivot
+// substitutions made at threshold tau.
+func factorizeSeq[T blas.Scalar](a *sparse.Sym[T], sym *symbolic.Symbol, tau float64) (*Store[T], []Perturbation, error) {
+	f := newStore[T](sym)
+	for k := range sym.CB {
+		if err := f.AssembleCell(a, k); err != nil {
+			return nil, nil, err
+		}
+	}
+	var perts []Perturbation
+	for k := range sym.CB {
+		ps, err := f.eliminate(k, tau)
+		if err != nil {
+			return nil, nil, err
+		}
+		perts = append(perts, ps...)
+	}
+	return f, perts, nil
 }
 
 // FactorizeSeq runs the right-looking sequential supernodal LDLᵀ
@@ -78,46 +110,20 @@ func FactorizeSeq(a *sparse.SymMatrix, sym *symbolic.Symbol) (*Factors, error) {
 // resulting report is attached to the factor (Factors.Pivots). The zero
 // StaticPivot reproduces FactorizeSeq bit for bit.
 func FactorizeSeqPivot(a *sparse.SymMatrix, sym *symbolic.Symbol, sp StaticPivot) (*Factors, error) {
-	tau, normMax := pivotThreshold(sp, a)
-	f := NewFactors(sym)
-	for k := range sym.CB {
-		if err := f.AssembleCell(a, k); err != nil {
-			return nil, err
-		}
+	tau, _ := pivotThreshold(sp, a)
+	s, perts, err := factorizeSeq(a, sym, tau)
+	if err != nil {
+		return nil, err
 	}
-	var perts []Perturbation
-	for k := range sym.CB {
-		ps, err := f.FactorDiagStatic(k, tau)
-		if err != nil {
-			return nil, err
-		}
-		perts = append(perts, ps...)
-		f.SolvePanel(k)
-		d := f.Diag(k)
-		invd := make([]float64, len(d))
-		for i, v := range d {
-			invd[i] = 1 / v
-		}
-		if err := applyCellUpdates(f, k, invd); err != nil {
-			return nil, err
-		}
-		f.ScalePanel(k, d)
-	}
-	if sp.Enabled() {
-		f.Pivots = buildReport(sp, normMax, perts, f)
-	}
-	return f, nil
+	return withReport(s, sp, a, perts), nil
 }
 
 // Solve solves A·x = b given the factor (L, D): forward substitution with
 // the unit-lower block L, diagonal scaling, then backward substitution with
 // Lᵀ. b is not modified; the solution is returned.
-func (f *Factors) Solve(b []float64) []float64 {
-	if f.lrCells != nil {
-		return f.solveCompressed(b)
-	}
+func (f *Store[T]) Solve(b []T) []T {
 	sym := f.Sym
-	x := append([]float64(nil), b...)
+	x := append([]T(nil), b...)
 	// Forward: L y = b.
 	for k := range sym.CB {
 		cb := &sym.CB[k]
@@ -153,6 +159,14 @@ func (f *Factors) Solve(b []float64) []float64 {
 		blas.TrsvLowerTransUnit(w, f.Data[k], ld, xk)
 	}
 	return x
+}
+
+// Solve solves A·x = b with the dense or the compressed factor.
+func (f *Factors) Solve(b []float64) []float64 {
+	if f.lrCells != nil {
+		return f.solveCompressed(b)
+	}
+	return f.Store.Solve(b)
 }
 
 // Refine performs one step of iterative refinement of x for A·x = b and

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/etree"
 	"github.com/pastix-go/pastix/internal/gen"
 	"github.com/pastix-go/pastix/internal/order"
@@ -117,12 +118,17 @@ func TestSeqFactorAgainstDenseLDLT(t *testing.T) {
 
 func factorsClose(t *testing.T, a, b *Factors, tol float64) {
 	t.Helper()
+	storesClose(t, &a.Store, &b.Store, tol)
+}
+
+func storesClose[T blas.Scalar](t *testing.T, a, b *Store[T], tol float64) {
+	t.Helper()
 	for k := range a.Data {
 		if len(a.Data[k]) != len(b.Data[k]) {
 			t.Fatalf("cell %d sizes differ", k)
 		}
 		for i := range a.Data[k] {
-			if math.Abs(a.Data[k][i]-b.Data[k][i]) > tol*(1+math.Abs(a.Data[k][i])) {
+			if blas.Abs(a.Data[k][i]-b.Data[k][i]) > tol*(1+blas.Abs(a.Data[k][i])) {
 				t.Fatalf("cell %d elem %d: %g vs %g", k, i, a.Data[k][i], b.Data[k][i])
 			}
 		}

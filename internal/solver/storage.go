@@ -1,7 +1,9 @@
 // Package solver is the PaStiX core: it assembles the block factor storage,
 // runs the LDLᵀ factorization — sequentially as a reference, or in parallel
 // with the paper's supernodal fan-in algorithm driven entirely by the static
-// schedule (Fig. 1) — and performs the triangular solves.
+// schedule (Fig. 1) — and performs the triangular solves. The storage and
+// every factorization runtime are generic over the element type, so complex
+// symmetric systems run the same code as real ones.
 package solver
 
 import (
@@ -14,16 +16,24 @@ import (
 	"github.com/pastix-go/pastix/internal/symbolic"
 )
 
-// Factors holds the block factor L and diagonal D. Each column block k is a
-// column-major dense array of LD[k] rows × Width(k) columns: rows [0,w) are
-// the diagonal block (strictly-lower part = unit-lower L, diagonal = D), and
-// each off-diagonal block b occupies rows [BlockOff[k][b],
-// BlockOff[k][b]+rows(b)).
-type Factors struct {
+// Store is the dense block storage of an LDLᵀ factor over element type T:
+// real factors and complex symmetric ones share it, and every runtime
+// factors into it. Each column block k is a column-major dense array of
+// LD[k] rows × Width(k) columns: rows [0,w) are the diagonal block
+// (strictly-lower part = unit-lower L, diagonal = D), and each off-diagonal
+// block b occupies rows [BlockOff[k][b], BlockOff[k][b]+rows(b)).
+type Store[T blas.Scalar] struct {
 	Sym      *symbolic.Symbol
-	Data     [][]float64
+	Data     [][]T
 	LD       []int
 	BlockOff [][]int
+}
+
+// Factors is a real factor: the dense block store plus what only real
+// factors carry — the static-pivoting report, the block low-rank cells and
+// the level-set solve packs.
+type Factors struct {
+	Store[float64]
 	// Pivots is the static-pivoting report of the factorization that produced
 	// this factor; nil when pivoting was disabled. Present (with an empty
 	// Perturbed list) whenever pivoting was enabled, even if no pivot needed
@@ -46,21 +56,29 @@ type Factors struct {
 }
 
 // NewFactors allocates zeroed storage for every column block of sym.
-func NewFactors(sym *symbolic.Symbol) *Factors {
-	f := NewFactorsLazy(sym)
+func NewFactors(sym *symbolic.Symbol) *Factors { return &Factors{Store: *newStore[float64](sym)} }
+
+// NewFactorsLazy prepares the shape tables without allocating cell data;
+// parallel processors allocate only the cells they own parts of.
+func NewFactorsLazy(sym *symbolic.Symbol) *Factors {
+	return &Factors{Store: *newStoreLazy[float64](sym)}
+}
+
+// newStore allocates zeroed storage for every column block of sym.
+func newStore[T blas.Scalar](sym *symbolic.Symbol) *Store[T] {
+	f := newStoreLazy[T](sym)
 	for k := range sym.CB {
 		f.EnsureCell(k)
 	}
 	return f
 }
 
-// NewFactorsLazy prepares the shape tables without allocating cell data;
-// parallel processors allocate only the cells they own parts of.
-func NewFactorsLazy(sym *symbolic.Symbol) *Factors {
+// newStoreLazy prepares the shape tables without allocating cell data.
+func newStoreLazy[T blas.Scalar](sym *symbolic.Symbol) *Store[T] {
 	ncb := sym.NumCB()
-	f := &Factors{
+	f := &Store[T]{
 		Sym:      sym,
-		Data:     make([][]float64, ncb),
+		Data:     make([][]T, ncb),
 		LD:       make([]int, ncb),
 		BlockOff: make([][]int, ncb),
 	}
@@ -80,15 +98,15 @@ func NewFactorsLazy(sym *symbolic.Symbol) *Factors {
 }
 
 // EnsureCell allocates cell k's array if absent.
-func (f *Factors) EnsureCell(k int) {
+func (f *Store[T]) EnsureCell(k int) {
 	if f.Data[k] == nil {
-		f.Data[k] = make([]float64, f.LD[k]*f.Sym.CB[k].Width())
+		f.Data[k] = make([]T, f.LD[k]*f.Sym.CB[k].Width())
 	}
 }
 
 // LocateRow maps a global row index to the local row offset inside cell k's
 // array, or -1 when the row is not in k's structure.
-func (f *Factors) LocateRow(k, row int) int {
+func (f *Store[T]) LocateRow(k, row int) int {
 	cb := &f.Sym.CB[k]
 	if row >= cb.Cols[0] && row < cb.Cols[1] {
 		return row - cb.Cols[0]
@@ -103,7 +121,7 @@ func (f *Factors) LocateRow(k, row int) int {
 
 // BlockContaining returns the index of the off-diagonal block of cell k
 // containing rows [lo,hi), or -1.
-func (f *Factors) BlockContaining(k, lo, hi int) int {
+func (f *Store[T]) BlockContaining(k, lo, hi int) int {
 	blocks := f.Sym.CB[k].Blocks
 	i := sort.Search(len(blocks), func(b int) bool { return blocks[b].LastRow > lo })
 	if i < len(blocks) && blocks[i].FirstRow <= lo && blocks[i].LastRow >= hi {
@@ -115,7 +133,7 @@ func (f *Factors) BlockContaining(k, lo, hi int) int {
 // AssembleCell scatters the entries of the permuted matrix a belonging to
 // cell k into the cell's array. Rows outside the symbolic structure are an
 // error (the structure must cover the matrix).
-func (f *Factors) AssembleCell(a *sparse.SymMatrix, k int) error {
+func (f *Store[T]) AssembleCell(a *sparse.Sym[T], k int) error {
 	f.EnsureCell(k)
 	cb := &f.Sym.CB[k]
 	ld := f.LD[k]
@@ -136,7 +154,7 @@ func (f *Factors) AssembleCell(a *sparse.SymMatrix, k int) error {
 
 // AssembleDiagRegion scatters only the diagonal-block entries of cell k
 // (used by the processor owning FACTOR(k) in 2D distribution).
-func (f *Factors) AssembleDiagRegion(a *sparse.SymMatrix, k int) error {
+func (f *Store[T]) AssembleDiagRegion(a *sparse.Sym[T], k int) error {
 	f.EnsureCell(k)
 	cb := &f.Sym.CB[k]
 	ld := f.LD[k]
@@ -156,7 +174,7 @@ func (f *Factors) AssembleDiagRegion(a *sparse.SymMatrix, k int) error {
 
 // AssembleBlockRegion scatters only block b's entries of cell k (used by the
 // processor owning BDIV(b,k)).
-func (f *Factors) AssembleBlockRegion(a *sparse.SymMatrix, k, b int) error {
+func (f *Store[T]) AssembleBlockRegion(a *sparse.Sym[T], k, b int) error {
 	f.EnsureCell(k)
 	cb := &f.Sym.CB[k]
 	blk := cb.Blocks[b]
@@ -179,24 +197,39 @@ func (f *Factors) AssembleBlockRegion(a *sparse.SymMatrix, k, b int) error {
 	return nil
 }
 
-// Diag returns the diagonal vector D of cell k (aliasing storage is avoided:
-// a copy is returned).
-func (f *Factors) Diag(k int) []float64 {
-	cb := &f.Sym.CB[k]
-	w := cb.Width()
-	d := make([]float64, w)
-	if f.lrCells != nil {
-		diag := f.lrCells[k].diag
-		for j := 0; j < w; j++ {
-			d[j] = diag[j+j*w]
-		}
-		return d
-	}
+// Diag returns a copy of the diagonal vector D of cell k.
+func (f *Store[T]) Diag(k int) []T {
+	w := f.Sym.CB[k].Width()
+	d := make([]T, w)
 	ld := f.LD[k]
 	for j := 0; j < w; j++ {
 		d[j] = f.Data[k][j+j*ld]
 	}
 	return d
+}
+
+// Diag returns a copy of the diagonal vector D of cell k, from the
+// compressed cells once the factor is compressed.
+func (f *Factors) Diag(k int) []float64 {
+	if f.lrCells == nil {
+		return f.Store.Diag(k)
+	}
+	w := f.Sym.CB[k].Width()
+	d := make([]float64, w)
+	diag := f.lrCells[k].diag
+	for j := 0; j < w; j++ {
+		d[j] = diag[j+j*w]
+	}
+	return d
+}
+
+// inverse returns 1/d elementwise: the invd operand of the update kernels.
+func inverse[T blas.Scalar](d []T) []T {
+	inv := make([]T, len(d))
+	for i, v := range d {
+		inv[i] = 1 / v
+	}
+	return inv
 }
 
 // NNZ returns the resident factor entries (block model; compressed cells
@@ -227,7 +260,7 @@ func (f *Factors) NNZ() int64 {
 // FactorDiag factors cell k's diagonal block in place (dense LDLᵀ). A pivot
 // breakdown is reported as a *ZeroPivotError (matching ErrNotSPD) with the
 // global column.
-func (f *Factors) FactorDiag(k int) error {
+func (f *Store[T]) FactorDiag(k int) error {
 	_, err := f.FactorDiagStatic(k, 0)
 	return err
 }
@@ -236,7 +269,7 @@ func (f *Factors) FactorDiag(k int) error {
 // |d| < tau are substituted by sign(d)·tau and returned as Perturbations
 // carrying global (permuted-system) column indices. tau <= 0 reproduces
 // FactorDiag exactly.
-func (f *Factors) FactorDiagStatic(k int, tau float64) ([]Perturbation, error) {
+func (f *Store[T]) FactorDiagStatic(k int, tau float64) ([]Perturbation, error) {
 	cb := &f.Sym.CB[k]
 	ps, err := blas.LDLTStatic(cb.Width(), f.Data[k], f.LD[k], tau)
 	if err != nil {
@@ -254,7 +287,7 @@ func (f *Factors) FactorDiagStatic(k int, tau float64) ([]Perturbation, error) {
 
 // SolvePanel computes W = A_panel · L_kk^{-ᵀ} in place over the whole
 // off-diagonal panel of cell k (the result is W = L·D, not yet scaled).
-func (f *Factors) SolvePanel(k int) {
+func (f *Store[T]) SolvePanel(k int) {
 	cb := &f.Sym.CB[k]
 	w := cb.Width()
 	r := cb.RowsBelow()
@@ -266,7 +299,7 @@ func (f *Factors) SolvePanel(k int) {
 }
 
 // ScalePanel divides the panel columns by D, turning W into L.
-func (f *Factors) ScalePanel(k int, d []float64) {
+func (f *Store[T]) ScalePanel(k int, d []T) {
 	cb := &f.Sym.CB[k]
 	w := cb.Width()
 	r := cb.RowsBelow()

@@ -1,11 +1,14 @@
 package solver
 
 import (
+	"context"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 
+	"github.com/pastix-go/pastix/internal/faults"
 	"github.com/pastix-go/pastix/internal/sparse"
+	"github.com/pastix-go/pastix/internal/trace"
 )
 
 // zLaplacian builds a complex symmetric diagonally dominant matrix on a 2D
@@ -35,10 +38,44 @@ func zAnalyze(t *testing.T, az *sparse.ZSymMatrix, P int) (*Analysis, *sparse.ZS
 	return an, az.Permute(an.Perm)
 }
 
+// zFactorize runs the complex factorization of paz on runtime rt.
+func zFactorize(an *Analysis, paz *sparse.ZSymMatrix, rt Runtime) (*Store[complex128], error) {
+	return an.FactorizeComplexCtx(context.Background(), paz, ParOptions{Runtime: rt})
+}
+
+// zFactorizeRT is zFactorize with optional tracing (recorder sized to the
+// schedule) and fault injection, failing the test on error.
+func zFactorizeRT(t *testing.T, an *Analysis, paz *sparse.ZSymMatrix, rt Runtime, traced bool, plan *faults.Plan) *Store[complex128] {
+	t.Helper()
+	popts := ParOptions{Runtime: rt, Faults: plan}
+	if traced {
+		popts.Trace = trace.New(an.Sched.P, 0)
+	}
+	return zFactorizeOpts(t, an, paz, popts)
+}
+
+func zFactorizeOpts(t *testing.T, an *Analysis, paz *sparse.ZSymMatrix, popts ParOptions) *Store[complex128] {
+	t.Helper()
+	f, err := an.FactorizeComplexCtx(context.Background(), paz, popts)
+	if err != nil {
+		t.Fatalf("%v complex factorize: %v", popts.Runtime, err)
+	}
+	return f
+}
+
+// zRHS is a complex right-hand side with no zero entries.
+func zRHS(n int) []complex128 {
+	b := make([]complex128, n)
+	for i := range b {
+		b[i] = complex(1+float64(i%5), float64(i%3)-1)
+	}
+	return b
+}
+
 func TestZSeqFactorSolve(t *testing.T) {
 	az := zLaplacian(14, 14)
 	an, paz := zAnalyze(t, az, 1)
-	zf, err := FactorizeZSeq(paz, an.Sym)
+	zf, err := zFactorize(an, paz, RuntimeSequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +93,7 @@ func TestZSeqFactorSolve(t *testing.T) {
 			t.Fatalf("x[%d]=%v want %v", i, got[i], x[i])
 		}
 	}
-	if r := sparse.ZResidual(paz, got, b); r > 1e-12 {
+	if r := sparse.Residual(paz, got, b); r > 1e-12 {
 		t.Fatalf("residual %g", r)
 	}
 }
@@ -64,7 +101,7 @@ func TestZSeqFactorSolve(t *testing.T) {
 func TestZSeqReconstruction(t *testing.T) {
 	az := zLaplacian(6, 6)
 	an, paz := zAnalyze(t, az, 1)
-	zf, err := FactorizeZSeq(paz, an.Sym)
+	zf, err := zFactorize(an, paz, RuntimeSequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +148,11 @@ func TestZParallelMatchesSequential(t *testing.T) {
 	az := zLaplacian(18, 18)
 	for _, P := range []int{2, 4, 8} {
 		an, paz := zAnalyze(t, az, P)
-		ref, err := FactorizeZSeq(paz, an.Sym)
+		ref, err := zFactorize(an, paz, RuntimeSequential)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := FactorizeZPar(paz, an.Sched)
+		got, err := zFactorize(an, paz, RuntimeMPSim)
 		if err != nil {
 			t.Fatalf("P=%d: %v", P, err)
 		}
@@ -132,7 +169,7 @@ func TestZParallelMatchesSequential(t *testing.T) {
 func TestZParallelSolveEndToEnd(t *testing.T) {
 	az := zLaplacian(16, 16)
 	an, paz := zAnalyze(t, az, 4)
-	zf, err := FactorizeZPar(paz, an.Sched)
+	zf, err := zFactorize(an, paz, RuntimeMPSim)
 	if err != nil {
 		t.Fatal(err)
 	}

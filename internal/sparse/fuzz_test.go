@@ -15,8 +15,37 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n")
 	f.Add("garbage")
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n-1 -1 -1\n")
+	for _, s := range hostileMMSizes {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
 		a, err := ReadMatrixMarket(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("parsed matrix violates invariants: %v", err)
+		}
+	})
+}
+
+// hostileMMSizes are size lines that once crashed the readers: a negative
+// entry count, and counts or orders too large to allocate or index.
+var hostileMMSizes = []string{
+	"%%MatrixMarket matrix coordinate real symmetric\n2 2 -1\n",
+	"%%MatrixMarket matrix coordinate real symmetric\n2 2 4000000000000000000\n",
+	"%%MatrixMarket matrix coordinate complex symmetric\n4000000000000000000 4000000000000000000 1\n",
+	"%%MatrixMarket matrix coordinate complex symmetric\n3000000000 3000000000 1\n1 1 1 0\n",
+}
+
+func FuzzReadMatrixMarketComplex(f *testing.F) {
+	f.Add("%%MatrixMarket matrix coordinate complex symmetric\n2 2 3\n1 1 2 1\n2 2 2 -1\n2 1 -1 0.5\n")
+	f.Add("%%MatrixMarket matrix coordinate complex general\n2 2 2\n2 1 1 1\n1 2 1 1\n")
+	for _, s := range hostileMMSizes {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		a, err := ReadMatrixMarketComplex(strings.NewReader(in))
 		if err != nil {
 			return
 		}

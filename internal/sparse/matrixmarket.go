@@ -2,16 +2,22 @@ package sparse
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+
+	"github.com/pastix-go/pastix/internal/blas"
 )
 
-// Matrix Market exchange format (coordinate, real/integer/pattern,
+// Matrix Market exchange format (coordinate, real/integer/pattern/complex,
 // symmetric). This is the format most modern sparse collections (SuiteSparse)
 // distribute, complementing the Harwell-Boeing RSA reader the paper's
-// problems used.
+// problems used. The readers parse untrusted input (the serving tier feeds
+// request bodies straight in): every size is checked before it is used and
+// the header's entry count never sizes a buffer beyond a small cap.
 
 // ReadMatrixMarket parses a symmetric coordinate Matrix Market stream.
 // General (non-symmetric header) inputs are accepted only if they are
@@ -19,225 +25,179 @@ import (
 // off-diagonals to stay SPD-friendly.
 func ReadMatrixMarket(r io.Reader) (*SymMatrix, error) {
 	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
+	h, err := readMMHeader(br)
 	if err != nil {
-		return nil, fmt.Errorf("sparse: mm header: %w", err)
+		return nil, err
 	}
-	fields := strings.Fields(strings.ToLower(header))
-	if len(fields) < 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
-		return nil, fmt.Errorf("sparse: not a MatrixMarket file: %q", strings.TrimSpace(header))
+	switch h.valtype {
+	case "real", "integer":
+		return readMMBody(br, h, 1, func(f []string) (float64, error) {
+			return strconv.ParseFloat(f[0], 64)
+		})
+	case "pattern":
+		// Pattern-only: synthesize a diagonally dominant SPD matrix on the
+		// given structure so the result is factorizable.
+		a, err := readMMBody(br, h, 0, func([]string) (float64, error) { return 1, nil })
+		if err != nil {
+			return nil, err
+		}
+		fillDominant(a)
+		return a, nil
 	}
-	format, valtype, symmetry := fields[2], fields[3], fields[4]
-	if format != "coordinate" {
-		return nil, fmt.Errorf("sparse: only coordinate format supported, got %q", format)
-	}
-	switch valtype {
-	case "real", "integer", "pattern":
-	default:
-		return nil, fmt.Errorf("sparse: unsupported value type %q", valtype)
-	}
-	switch symmetry {
-	case "symmetric", "general":
-	default:
-		return nil, fmt.Errorf("sparse: unsupported symmetry %q", symmetry)
-	}
+	return nil, fmt.Errorf("sparse: unsupported value type %q", h.valtype)
+}
 
-	// Skip comments, read the size line.
-	var sizeLine string
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			return nil, fmt.Errorf("sparse: mm size line missing: %w", err)
-		}
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "%") {
-			continue
-		}
-		sizeLine = trimmed
-		break
+// ReadMatrixMarketComplex parses a complex symmetric coordinate Matrix
+// Market stream (entries: i j re im). As for the real reader, a general
+// header is accepted only for numerically symmetric data.
+func ReadMatrixMarketComplex(r io.Reader) (*ZSymMatrix, error) {
+	br := bufio.NewReader(r)
+	h, err := readMMHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	if h.valtype != "complex" {
+		return nil, fmt.Errorf("sparse: want complex MatrixMarket values, got %q", h.valtype)
+	}
+	return readMMBody(br, h, 2, func(f []string) (complex128, error) {
+		re, err1 := strconv.ParseFloat(f[0], 64)
+		im, err2 := strconv.ParseFloat(f[1], 64)
+		return complex(re, im), errors.Join(err1, err2)
+	})
+}
+
+// mmHeader is the banner and size line of a coordinate Matrix Market stream.
+type mmHeader struct {
+	valtype, symmetry string
+	n, nnz            int
+}
+
+// readMMHeader parses the banner and the size line, leaving br at the first
+// entry. The sizes are untrusted: a non-square, empty or negative size, or
+// one too large to index, is rejected.
+func readMMHeader(br *bufio.Reader) (mmHeader, error) {
+	var h mmHeader
+	banner, err := br.ReadString('\n')
+	if err != nil {
+		return h, fmt.Errorf("sparse: mm header: %w", err)
+	}
+	fields := strings.Fields(strings.ToLower(banner))
+	if len(fields) < 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
+		return h, fmt.Errorf("sparse: not a MatrixMarket file: %q", strings.TrimSpace(banner))
+	}
+	if fields[2] != "coordinate" {
+		return h, fmt.Errorf("sparse: only coordinate format supported, got %q", fields[2])
+	}
+	h.valtype, h.symmetry = fields[3], fields[4]
+	if h.symmetry != "symmetric" && h.symmetry != "general" {
+		return h, fmt.Errorf("sparse: unsupported symmetry %q", h.symmetry)
+	}
+	sizeLine, err := nextDataLine(br)
+	if err != nil {
+		return h, fmt.Errorf("sparse: mm size line missing: %w", err)
 	}
 	sf := strings.Fields(sizeLine)
 	if len(sf) != 3 {
-		return nil, fmt.Errorf("sparse: bad mm size line %q", sizeLine)
+		return h, fmt.Errorf("sparse: bad mm size line %q", sizeLine)
 	}
 	nrow, err1 := strconv.Atoi(sf[0])
 	ncol, err2 := strconv.Atoi(sf[1])
 	nnz, err3 := strconv.Atoi(sf[2])
-	if err1 != nil || err2 != nil || err3 != nil || nrow != ncol || nrow <= 0 {
-		return nil, fmt.Errorf("sparse: bad mm dimensions %q", sizeLine)
+	if err1 != nil || err2 != nil || err3 != nil || nrow != ncol ||
+		nrow <= 0 || nrow > math.MaxInt32 || nnz < 0 || nnz > math.MaxInt32 {
+		return h, fmt.Errorf("sparse: bad mm dimensions %q", sizeLine)
 	}
+	h.n, h.nnz = nrow, nnz
+	return h, nil
+}
 
+// nextDataLine returns the next line that is neither blank nor a comment.
+func nextDataLine(br *bufio.Reader) (string, error) {
+	for {
+		line, err := br.ReadString('\n')
+		if trimmed := strings.TrimSpace(line); trimmed != "" && !strings.HasPrefix(trimmed, "%") {
+			return trimmed, nil
+		}
+		if err != nil {
+			return "", err
+		}
+	}
+}
+
+// readMMBody reads the h.nnz entries — two 1-based indices followed by
+// nvals value fields that value parses — and assembles the matrix. With a
+// general header every off-diagonal entry must have its mirror with the
+// same value; the lower triangle is kept.
+func readMMBody[T blas.Scalar](br *bufio.Reader, h mmHeader, nvals int, value func(f []string) (T, error)) (*Sym[T], error) {
 	type entry struct {
 		i, j int
-		v    float64
+		v    T
 	}
-	entries := make([]entry, 0, nnz)
-	for len(entries) < nnz {
-		line, err := br.ReadString('\n')
-		if err != nil && strings.TrimSpace(line) == "" {
-			return nil, fmt.Errorf("sparse: mm data truncated after %d of %d entries", len(entries), nnz)
+	// h.nnz is untrusted: it is only a capacity hint, capped so that a lying
+	// header cannot force a large allocation.
+	entries := make([]entry, 0, min(h.nnz, 1<<16))
+	for len(entries) < h.nnz {
+		line, err := nextDataLine(br)
+		if err != nil {
+			return nil, fmt.Errorf("sparse: mm data truncated after %d of %d entries", len(entries), h.nnz)
 		}
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "%") {
-			continue
-		}
-		f := strings.Fields(trimmed)
-		if (valtype == "pattern" && len(f) < 2) || (valtype != "pattern" && len(f) < 3) {
-			return nil, fmt.Errorf("sparse: bad mm entry %q", trimmed)
+		f := strings.Fields(line)
+		if len(f) < 2+nvals {
+			return nil, fmt.Errorf("sparse: bad mm entry %q", line)
 		}
 		i, err1 := strconv.Atoi(f[0])
 		j, err2 := strconv.Atoi(f[1])
-		if err1 != nil || err2 != nil || i < 1 || j < 1 || i > nrow || j > nrow {
-			return nil, fmt.Errorf("sparse: bad mm indices %q", trimmed)
+		if err1 != nil || err2 != nil || i < 1 || j < 1 || i > h.n || j > h.n {
+			return nil, fmt.Errorf("sparse: bad mm indices %q", line)
 		}
-		v := 1.0
-		if valtype != "pattern" {
-			v, err = strconv.ParseFloat(f[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("sparse: bad mm value %q", trimmed)
-			}
+		v, err := value(f[2 : 2+nvals])
+		if err != nil {
+			return nil, fmt.Errorf("sparse: bad mm value %q", line)
 		}
 		entries = append(entries, entry{i - 1, j - 1, v})
 	}
 
-	b := NewBuilder(nrow)
-	if symmetry == "general" {
+	b := NewSymBuilder[T](h.n)
+	if h.symmetry == "general" {
 		// Must be numerically symmetric; verify pairs.
-		vals := make(map[[2]int]float64, len(entries))
+		vals := make(map[[2]int]T, len(entries))
 		for _, e := range entries {
 			vals[[2]int{e.i, e.j}] = e.v
 		}
 		for _, e := range entries {
-			if e.i == e.j {
-				continue
-			}
-			if w, ok := vals[[2]int{e.j, e.i}]; !ok || w != e.v {
+			if w, ok := vals[[2]int{e.j, e.i}]; e.i != e.j && (!ok || w != e.v) {
 				return nil, fmt.Errorf("sparse: general mm matrix is not symmetric at (%d,%d)", e.i+1, e.j+1)
 			}
 		}
-		for _, e := range entries {
-			if e.i >= e.j { // keep lower triangle only (upper is the mirror)
-				b.Add(e.i, e.j, e.v)
-			}
-		}
-	} else {
-		for _, e := range entries {
+	}
+	for _, e := range entries {
+		if h.symmetry != "general" || e.i >= e.j { // general: the upper triangle is the mirror
 			b.Add(e.i, e.j, e.v)
 		}
 	}
-	a := b.Build()
-	if valtype == "pattern" {
-		// Pattern-only: synthesize a diagonally dominant SPD matrix on the
-		// given structure so the result is factorizable.
-		deg := make([]float64, a.N)
-		for j := 0; j < a.N; j++ {
-			for p := a.ColPtr[j] + 1; p < a.ColPtr[j+1]; p++ {
-				deg[a.RowIdx[p]]++
-				deg[j]++
-			}
-		}
-		for j := 0; j < a.N; j++ {
-			for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-				if a.RowIdx[p] == j {
-					a.Val[p] = deg[j] + 1
-				} else {
-					a.Val[p] = -1
-				}
-			}
-		}
-	}
-	return a, nil
+	return b.Build(), nil
 }
 
 // WriteMatrixMarket writes the matrix in symmetric coordinate format.
 func WriteMatrixMarket(w io.Writer, a *SymMatrix, comment string) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "%%MatrixMarket matrix coordinate real symmetric")
-	if comment != "" {
-		for _, line := range strings.Split(comment, "\n") {
-			fmt.Fprintf(bw, "%% %s\n", line)
-		}
-	}
-	fmt.Fprintf(bw, "%d %d %d\n", a.N, a.N, a.NNZ())
-	for j := 0; j < a.N; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			fmt.Fprintf(bw, "%d %d %.17g\n", a.RowIdx[p]+1, j+1, a.Val[p])
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadMatrixMarketComplex parses a complex symmetric coordinate Matrix
-// Market stream (entries: i j re im).
-func ReadMatrixMarketComplex(r io.Reader) (*ZSymMatrix, error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("sparse: mm header: %w", err)
-	}
-	fields := strings.Fields(strings.ToLower(header))
-	if len(fields) < 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" ||
-		fields[2] != "coordinate" || fields[3] != "complex" || fields[4] != "symmetric" {
-		return nil, fmt.Errorf("sparse: want complex symmetric coordinate MatrixMarket, got %q",
-			strings.TrimSpace(header))
-	}
-	var sizeLine string
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			return nil, fmt.Errorf("sparse: mm size line missing: %w", err)
-		}
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "%") {
-			continue
-		}
-		sizeLine = trimmed
-		break
-	}
-	sf := strings.Fields(sizeLine)
-	if len(sf) != 3 {
-		return nil, fmt.Errorf("sparse: bad mm size line %q", sizeLine)
-	}
-	nrow, err1 := strconv.Atoi(sf[0])
-	ncol, err2 := strconv.Atoi(sf[1])
-	nnz, err3 := strconv.Atoi(sf[2])
-	if err1 != nil || err2 != nil || err3 != nil || nrow != ncol || nrow <= 0 || nnz < 0 {
-		return nil, fmt.Errorf("sparse: bad mm dimensions %q", sizeLine)
-	}
-	b := NewZBuilder(nrow)
-	read := 0
-	for read < nnz {
-		line, err := br.ReadString('\n')
-		if err != nil && strings.TrimSpace(line) == "" {
-			return nil, fmt.Errorf("sparse: mm data truncated after %d of %d entries", read, nnz)
-		}
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "%") {
-			continue
-		}
-		f := strings.Fields(trimmed)
-		if len(f) < 4 {
-			return nil, fmt.Errorf("sparse: bad complex mm entry %q", trimmed)
-		}
-		i, err1 := strconv.Atoi(f[0])
-		j, err2 := strconv.Atoi(f[1])
-		re, err3 := strconv.ParseFloat(f[2], 64)
-		im, err4 := strconv.ParseFloat(f[3], 64)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil ||
-			i < 1 || j < 1 || i > nrow || j > nrow {
-			return nil, fmt.Errorf("sparse: bad complex mm entry %q", trimmed)
-		}
-		b.Add(i-1, j-1, complex(re, im))
-		read++
-	}
-	return b.Build(), nil
+	return writeMM(w, a, comment, "real", func(w io.Writer, i, j int, v float64) {
+		fmt.Fprintf(w, "%d %d %.17g\n", i, j, v)
+	})
 }
 
 // WriteMatrixMarketComplex writes the matrix in complex symmetric coordinate
 // format.
 func WriteMatrixMarketComplex(w io.Writer, a *ZSymMatrix, comment string) error {
+	return writeMM(w, a, comment, "complex", func(w io.Writer, i, j int, v complex128) {
+		fmt.Fprintf(w, "%d %d %.17g %.17g\n", i, j, real(v), imag(v))
+	})
+}
+
+// writeMM writes the banner, comment and size line, then one line per
+// stored entry through entry (1-based indices).
+func writeMM[T blas.Scalar](w io.Writer, a *Sym[T], comment, valtype string, entry func(w io.Writer, i, j int, v T)) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "%%MatrixMarket matrix coordinate complex symmetric")
+	fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate %s symmetric\n", valtype)
 	if comment != "" {
 		for _, line := range strings.Split(comment, "\n") {
 			fmt.Fprintf(bw, "%% %s\n", line)
@@ -246,8 +206,7 @@ func WriteMatrixMarketComplex(w io.Writer, a *ZSymMatrix, comment string) error 
 	fmt.Fprintf(bw, "%d %d %d\n", a.N, a.N, a.NNZ())
 	for j := 0; j < a.N; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			v := a.Val[p]
-			fmt.Fprintf(bw, "%d %d %.17g %.17g\n", a.RowIdx[p]+1, j+1, real(v), imag(v))
+			entry(bw, a.RowIdx[p]+1, j+1, a.Val[p])
 		}
 	}
 	return bw.Flush()

@@ -99,7 +99,7 @@ func TestMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n5 5 1.0\n",        // bad index
 		"%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 notanumber\n", // bad value
 	}
-	for i, c := range cases {
+	for i, c := range append(cases, hostileMMSizes...) {
 		if _, err := ReadMatrixMarket(strings.NewReader(c)); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
@@ -137,7 +137,7 @@ func TestComplexMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate complex symmetric\n2 2 1\n9 9 1 1\n", // bad index
 		"%%MatrixMarket matrix coordinate complex symmetric\n2 2 5\n1 1 1 1\n", // truncated
 	}
-	for i, c := range cases {
+	for i, c := range append(cases, hostileMMSizes...) {
 		if _, err := ReadMatrixMarketComplex(strings.NewReader(c)); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}

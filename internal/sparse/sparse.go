@@ -1,6 +1,10 @@
 // Package sparse provides symmetric sparse matrices in compressed sparse
 // column (CSC) form, triplet assembly, permutation, basic linear-algebra
-// operations, and Harwell-Boeing (RSA) file I/O.
+// operations, and Harwell-Boeing (RSA) and Matrix Market file I/O.
+//
+// Matrices are generic over the element type (blas.Scalar): SymMatrix holds
+// real values and ZSymMatrix complex SYMMETRIC ones (A = Aᵀ, generally
+// A ≠ Aᴴ) — the paper's motivating class — in the same layout.
 //
 // Symmetric matrices store the LOWER triangular part only, including the
 // diagonal, with row indices sorted within each column. This matches the
@@ -9,32 +13,41 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
+
+	"github.com/pastix-go/pastix/internal/blas"
 )
 
-// SymMatrix is a symmetric sparse matrix of order N holding its lower
-// triangle (diagonal included) in CSC format: column j's entries are
+// Sym is a symmetric sparse matrix of order N holding its lower triangle
+// (diagonal included) in CSC format: column j's entries are
 // RowIdx[ColPtr[j]:ColPtr[j+1]] / Val[ColPtr[j]:ColPtr[j+1]], with row
 // indices strictly increasing and RowIdx[ColPtr[j]] == j (an explicit
-// diagonal entry is required).
-type SymMatrix struct {
+// diagonal entry is required). Symmetry never conjugates: a complex Sym is
+// complex symmetric, not Hermitian.
+type Sym[T blas.Scalar] struct {
 	N      int
 	ColPtr []int
 	RowIdx []int
-	Val    []float64
+	Val    []T
 }
 
+// SymMatrix is a real symmetric sparse matrix.
+type SymMatrix = Sym[float64]
+
+// ZSymMatrix is a complex symmetric sparse matrix. The ordering and symbolic
+// phases run on its Pattern; the complex numerics follow that structure.
+type ZSymMatrix = Sym[complex128]
+
 // NNZ returns the number of stored entries (lower triangle incl. diagonal).
-func (a *SymMatrix) NNZ() int { return len(a.RowIdx) }
+func (a *Sym[T]) NNZ() int { return len(a.RowIdx) }
 
 // NNZOffDiag returns the number of stored strictly-lower entries, i.e. the
 // NNZ_A metric of the paper (off-diagonal terms of the triangular part).
-func (a *SymMatrix) NNZOffDiag() int { return len(a.RowIdx) - a.N }
+func (a *Sym[T]) NNZOffDiag() int { return len(a.RowIdx) - a.N }
 
 // Validate checks the structural invariants.
-func (a *SymMatrix) Validate() error {
-	if len(a.ColPtr) != a.N+1 {
+func (a *Sym[T]) Validate() error {
+	if a.N < 0 || len(a.ColPtr) != a.N+1 {
 		return fmt.Errorf("sparse: colptr length %d != n+1", len(a.ColPtr))
 	}
 	if a.ColPtr[0] != 0 || a.ColPtr[a.N] != len(a.RowIdx) || len(a.RowIdx) != len(a.Val) {
@@ -69,7 +82,7 @@ func (a *SymMatrix) Validate() error {
 // the same fingerprint; distinct patterns collide with probability ~2⁻¹²⁸
 // (two independent FNV-1a streams — strong enough to key an analysis cache,
 // not cryptographic). The fingerprint is stable across runs and platforms.
-func (a *SymMatrix) PatternFingerprint() string {
+func (a *Sym[T]) PatternFingerprint() string {
 	const prime = 0x100000001b3
 	h1 := uint64(0xcbf29ce484222325) // FNV-1a offset basis
 	h2 := uint64(0x6c62272e07bb0142) // second independent stream
@@ -90,8 +103,9 @@ func (a *SymMatrix) PatternFingerprint() string {
 	return fmt.Sprintf("%016x%016x", h1, h2)
 }
 
-// SamePattern reports whether b has exactly the sparsity pattern of a.
-func (a *SymMatrix) SamePattern(b *SymMatrix) bool {
+// SamePattern reports whether the real matrix b (typically the analysed
+// one) has exactly the sparsity pattern of a.
+func (a *Sym[T]) SamePattern(b *SymMatrix) bool {
 	if a.N != b.N || len(a.RowIdx) != len(b.RowIdx) {
 		return false
 	}
@@ -108,9 +122,44 @@ func (a *SymMatrix) SamePattern(b *SymMatrix) bool {
 	return true
 }
 
+// Pattern returns a real SPD-safe matrix with the same sparsity: -1 off the
+// diagonal and a dominant diagonal (degree + 1). The ordering and symbolic
+// phases of a complex matrix run on this pattern.
+func (a *Sym[T]) Pattern() *SymMatrix {
+	p := &SymMatrix{
+		N:      a.N,
+		ColPtr: append([]int(nil), a.ColPtr...),
+		RowIdx: append([]int(nil), a.RowIdx...),
+		Val:    make([]float64, len(a.Val)),
+	}
+	fillDominant(p)
+	return p
+}
+
+// fillDominant overwrites the values with -1 off the diagonal and degree + 1
+// on it: a diagonally dominant SPD matrix on the stored structure.
+func fillDominant(a *SymMatrix) {
+	deg := make([]float64, a.N)
+	for j := 0; j < a.N; j++ {
+		for p := a.ColPtr[j] + 1; p < a.ColPtr[j+1]; p++ {
+			deg[a.RowIdx[p]]++
+			deg[j]++
+		}
+	}
+	for j := 0; j < a.N; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			if a.RowIdx[p] == j {
+				a.Val[p] = deg[j] + 1
+			} else {
+				a.Val[p] = -1
+			}
+		}
+	}
+}
+
 // Diag returns a copy of the diagonal.
-func (a *SymMatrix) Diag() []float64 {
-	d := make([]float64, a.N)
+func (a *Sym[T]) Diag() []T {
+	d := make([]T, a.N)
 	for j := 0; j < a.N; j++ {
 		d[j] = a.Val[a.ColPtr[j]]
 	}
@@ -118,7 +167,7 @@ func (a *SymMatrix) Diag() []float64 {
 }
 
 // At returns A[i][j] (either triangle).
-func (a *SymMatrix) At(i, j int) float64 {
+func (a *Sym[T]) At(i, j int) T {
 	if i < j {
 		i, j = j, i
 	}
@@ -130,8 +179,8 @@ func (a *SymMatrix) At(i, j int) float64 {
 	return 0
 }
 
-// MatVec computes y = A x, expanding symmetry.
-func (a *SymMatrix) MatVec(x, y []float64) {
+// MatVec computes y = A x, expanding symmetry (no conjugation).
+func (a *Sym[T]) MatVec(x, y []T) {
 	if len(x) != a.N || len(y) != a.N {
 		panic("sparse: dimension mismatch in MatVec")
 	}
@@ -152,12 +201,12 @@ func (a *SymMatrix) MatVec(x, y []float64) {
 }
 
 // Norm1 returns the 1-norm (max column absolute sum) of the full matrix.
-func (a *SymMatrix) Norm1() float64 {
+func (a *Sym[T]) Norm1() float64 {
 	sums := make([]float64, a.N)
 	for j := 0; j < a.N; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
 			i := a.RowIdx[p]
-			v := math.Abs(a.Val[p])
+			v := blas.Abs(a.Val[p])
 			sums[j] += v
 			if i != j {
 				sums[i] += v
@@ -177,10 +226,10 @@ func (a *SymMatrix) Norm1() float64 {
 // It is invariant under symmetric permutation, which makes it the natural
 // scale for the static-pivoting threshold τ = ε_piv·‖A‖_max: the same τ is
 // obtained whether computed from the original or the permuted matrix.
-func (a *SymMatrix) NormMax() float64 {
+func (a *Sym[T]) NormMax() float64 {
 	mx := 0.0
 	for _, v := range a.Val {
-		if av := math.Abs(v); av > mx {
+		if av := blas.Abs(v); av > mx {
 			mx = av
 		}
 	}
@@ -188,8 +237,8 @@ func (a *SymMatrix) NormMax() float64 {
 }
 
 // Dense expands the matrix to a dense row-major n×n array (testing helper).
-func (a *SymMatrix) Dense() []float64 {
-	d := make([]float64, a.N*a.N)
+func (a *Sym[T]) Dense() []T {
+	d := make([]T, a.N*a.N)
 	for j := 0; j < a.N; j++ {
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
 			i := a.RowIdx[p]
@@ -202,7 +251,7 @@ func (a *SymMatrix) Dense() []float64 {
 
 // AdjacencyCSR returns the adjacency structure of A (pattern of the full
 // matrix minus the diagonal) as CSR arrays suitable for graph.FromCSR.
-func (a *SymMatrix) AdjacencyCSR() (ptr, adj []int) {
+func (a *Sym[T]) AdjacencyCSR() (ptr, adj []int) {
 	deg := make([]int, a.N)
 	for j := 0; j < a.N; j++ {
 		for p := a.ColPtr[j] + 1; p < a.ColPtr[j+1]; p++ {
@@ -236,7 +285,7 @@ func (a *SymMatrix) AdjacencyCSR() (ptr, adj []int) {
 
 // Permute returns P A Pᵀ where perm is the new ordering: perm[new] = old
 // (i.e. row/column `old` of A becomes row/column `new` of the result).
-func (a *SymMatrix) Permute(perm []int) *SymMatrix {
+func (a *Sym[T]) Permute(perm []int) *Sym[T] {
 	n := a.N
 	if len(perm) != n {
 		panic("sparse: permutation length mismatch")
@@ -247,7 +296,7 @@ func (a *SymMatrix) Permute(perm []int) *SymMatrix {
 	}
 	type ent struct {
 		row int
-		val float64
+		val T
 	}
 	cols := make([][]ent, n)
 	for j := 0; j < n; j++ {
@@ -260,13 +309,13 @@ func (a *SymMatrix) Permute(perm []int) *SymMatrix {
 			cols[nj] = append(cols[nj], ent{ni, a.Val[p]})
 		}
 	}
-	b := &SymMatrix{N: n, ColPtr: make([]int, n+1)}
+	b := &Sym[T]{N: n, ColPtr: make([]int, n+1)}
 	for j := 0; j < n; j++ {
 		sort.Slice(cols[j], func(x, y int) bool { return cols[j][x].row < cols[j][y].row })
 		b.ColPtr[j+1] = b.ColPtr[j] + len(cols[j])
 	}
 	b.RowIdx = make([]int, b.ColPtr[n])
-	b.Val = make([]float64, b.ColPtr[n])
+	b.Val = make([]T, b.ColPtr[n])
 	for j := 0; j < n; j++ {
 		p := b.ColPtr[j]
 		for _, e := range cols[j] {
@@ -278,24 +327,36 @@ func (a *SymMatrix) Permute(perm []int) *SymMatrix {
 	return b
 }
 
-// Builder assembles a symmetric matrix from (i,j,v) triplets. Duplicate
+// SymBuilder assembles a symmetric matrix from (i,j,v) triplets. Duplicate
 // entries are summed; entries may be given in either triangle.
-type Builder struct {
+type SymBuilder[T blas.Scalar] struct {
 	n    int
-	cols []map[int]float64
+	cols []map[int]T
 }
 
-// NewBuilder creates a Builder for an n×n symmetric matrix.
-func NewBuilder(n int) *Builder {
-	b := &Builder{n: n, cols: make([]map[int]float64, n)}
+// Builder assembles a real symmetric matrix.
+type Builder = SymBuilder[float64]
+
+// ZBuilder assembles a complex symmetric matrix.
+type ZBuilder = SymBuilder[complex128]
+
+// NewSymBuilder creates a SymBuilder for an n×n symmetric matrix.
+func NewSymBuilder[T blas.Scalar](n int) *SymBuilder[T] {
+	b := &SymBuilder[T]{n: n, cols: make([]map[int]T, n)}
 	for j := range b.cols {
-		b.cols[j] = make(map[int]float64)
+		b.cols[j] = make(map[int]T)
 	}
 	return b
 }
 
+// NewBuilder creates a Builder for an n×n real symmetric matrix.
+func NewBuilder(n int) *Builder { return NewSymBuilder[float64](n) }
+
+// NewZBuilder creates a ZBuilder for an n×n complex symmetric matrix.
+func NewZBuilder(n int) *ZBuilder { return NewSymBuilder[complex128](n) }
+
 // Add accumulates v into A[i][j] (and by symmetry A[j][i]).
-func (b *Builder) Add(i, j int, v float64) {
+func (b *SymBuilder[T]) Add(i, j int, v T) {
 	if i < 0 || j < 0 || i >= b.n || j >= b.n {
 		panic(fmt.Sprintf("sparse: triplet (%d,%d) out of range n=%d", i, j, b.n))
 	}
@@ -307,8 +368,8 @@ func (b *Builder) Add(i, j int, v float64) {
 
 // Build finalizes the matrix, inserting explicit zero diagonal entries where
 // missing so the Validate invariant holds.
-func (b *Builder) Build() *SymMatrix {
-	a := &SymMatrix{N: b.n, ColPtr: make([]int, b.n+1)}
+func (b *SymBuilder[T]) Build() *Sym[T] {
+	a := &Sym[T]{N: b.n, ColPtr: make([]int, b.n+1)}
 	for j := 0; j < b.n; j++ {
 		if _, ok := b.cols[j][j]; !ok {
 			b.cols[j][j] = 0
@@ -316,7 +377,7 @@ func (b *Builder) Build() *SymMatrix {
 		a.ColPtr[j+1] = a.ColPtr[j] + len(b.cols[j])
 	}
 	a.RowIdx = make([]int, a.ColPtr[b.n])
-	a.Val = make([]float64, a.ColPtr[b.n])
+	a.Val = make([]T, a.ColPtr[b.n])
 	for j := 0; j < b.n; j++ {
 		rows := make([]int, 0, len(b.cols[j]))
 		for i := range b.cols[j] {
@@ -335,18 +396,18 @@ func (b *Builder) Build() *SymMatrix {
 
 // Residual returns ‖Ax − b‖∞ / (‖A‖₁‖x‖∞ + ‖b‖∞), the standard scaled
 // backward-error style residual used by the solver tests.
-func Residual(a *SymMatrix, x, b []float64) float64 {
-	r := make([]float64, a.N)
+func Residual[T blas.Scalar](a *Sym[T], x, b []T) float64 {
+	r := make([]T, a.N)
 	a.MatVec(x, r)
 	num, xmax, bmax := 0.0, 0.0, 0.0
 	for i := range r {
-		if d := math.Abs(r[i] - b[i]); d > num {
+		if d := blas.Abs(r[i] - b[i]); d > num {
 			num = d
 		}
-		if v := math.Abs(x[i]); v > xmax {
+		if v := blas.Abs(x[i]); v > xmax {
 			xmax = v
 		}
-		if v := math.Abs(b[i]); v > bmax {
+		if v := blas.Abs(b[i]); v > bmax {
 			bmax = v
 		}
 	}

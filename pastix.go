@@ -32,6 +32,7 @@ import (
 	"io"
 	"time"
 
+	"github.com/pastix-go/pastix/internal/blas"
 	"github.com/pastix-go/pastix/internal/cost"
 	"github.com/pastix-go/pastix/internal/etree"
 	"github.com/pastix-go/pastix/internal/order"
@@ -456,7 +457,7 @@ func PatternFingerprint(a *Matrix) string {
 // analysis/factorization split exists for. The pattern is verified (in the
 // analysis ordering) and ErrPatternMismatch reported on any difference.
 func (an *Analysis) FactorizeValues(ctx context.Context, a *Matrix) (*Factor, error) {
-	pa, err := an.permuteSamePattern(a)
+	pa, err := permuteSamePattern(an, a)
 	if err != nil {
 		return nil, err
 	}
@@ -467,11 +468,15 @@ func (an *Analysis) FactorizeValues(ctx context.Context, a *Matrix) (*Factor, er
 	return an.newFactor(f, pa), nil
 }
 
-// permuteSamePattern permutes a into the analysis ordering after verifying
-// it carries exactly the analysed sparsity pattern.
-func (an *Analysis) permuteSamePattern(a *Matrix) (*sparse.SymMatrix, error) {
+// permuteSamePattern permutes a (real or complex) into the analysis
+// ordering after verifying it is well formed and carries exactly the
+// analysed sparsity pattern; a malformed matrix cannot carry it either.
+func permuteSamePattern[T blas.Scalar](an *Analysis, a *sparse.Sym[T]) (*sparse.Sym[T], error) {
 	if a == nil {
 		return nil, fmt.Errorf("pastix: nil matrix")
+	}
+	if err := a.Validate(); err != nil {
+		return nil, fmt.Errorf("pastix: malformed matrix (%v): %w", err, ErrPatternMismatch)
 	}
 	if a.N != an.inner.A.N || a.NNZ() != an.inner.A.NNZ() {
 		return nil, fmt.Errorf("pastix: order %d nnz %d vs analysed %d/%d: %w",
@@ -540,7 +545,7 @@ func (an *Analysis) FactorizeRobust(ctx context.Context) (*Factor, RobustStats, 
 // sparsity pattern (see FactorizeValues): the escalation runs against the
 // request's values, not the analysed ones.
 func (an *Analysis) FactorizeValuesRobust(ctx context.Context, a *Matrix) (*Factor, RobustStats, error) {
-	pa, err := an.permuteSamePattern(a)
+	pa, err := permuteSamePattern(an, a)
 	if err != nil {
 		return nil, RobustStats{}, err
 	}
@@ -616,7 +621,7 @@ func NewZBuilder(n int) *ZBuilder { return sparse.NewZBuilder(n) }
 
 // ZFactor holds a complex LDLᵀ factorization.
 type ZFactor struct {
-	inner *solver.ZFactors
+	inner *solver.Store[complex128]
 	an    *solver.Analysis
 }
 
@@ -633,20 +638,27 @@ func AnalyzeComplex(az *ZMatrix, opts Options) (*Analysis, error) {
 }
 
 // FactorizeComplex computes the complex symmetric LDLᵀ factorization of az,
-// whose pattern must match the analysed matrix. With more than one processor
-// the schedule-driven parallel fan-in runtime is used.
+// whose pattern must match the analysed matrix (ErrPatternMismatch
+// otherwise). It runs the engine Options.Runtime selects, with
+// Options.Faults honoured exactly as in Factorize; the sequential,
+// shared-memory and dynamic runtimes agree bit for bit.
+// Static pivoting and BLR compression are real-only: an analysis configured
+// with either rejects complex factorization with ErrBadOptions.
 func (an *Analysis) FactorizeComplex(az *ZMatrix) (*ZFactor, error) {
 	if az == nil || az.N != an.inner.A.N {
 		return nil, fmt.Errorf("pastix: complex matrix shape mismatch: %w", ErrShape)
 	}
-	paz := az.Permute(an.inner.Perm)
-	var zf *solver.ZFactors
-	var err error
-	if an.inner.Sched.P == 1 {
-		zf, err = solver.FactorizeZSeq(paz, an.inner.Sym)
-	} else {
-		zf, err = solver.FactorizeZPar(paz, an.inner.Sched)
+	switch {
+	case an.pivot.Enabled():
+		return nil, fmt.Errorf("%w: static pivoting is not available for complex matrices", ErrBadOptions)
+	case an.blr.Enabled():
+		return nil, fmt.Errorf("%w: BLR compression is not available for complex matrices", ErrBadOptions)
 	}
+	paz, err := permuteSamePattern(an, az)
+	if err != nil {
+		return nil, err
+	}
+	zf, err := an.inner.FactorizeComplexCtx(context.Background(), paz, an.parOpts())
 	if err != nil {
 		return nil, err
 	}
@@ -686,7 +698,7 @@ func WriteMatrixMarketComplex(w io.Writer, a *ZMatrix, comment string) error {
 }
 
 // ZResidual returns the scaled residual of a complex system.
-func ZResidual(a *ZMatrix, x, b []complex128) float64 { return sparse.ZResidual(a, x, b) }
+func ZResidual(a *ZMatrix, x, b []complex128) float64 { return sparse.Residual(a, x, b) }
 
 // WriteScheduleGantt renders a textual Gantt chart of the static schedule
 // (one row per processor, time binned into width columns).
