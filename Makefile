@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress fuzz serve-smoke ci
+.PHONY: all build test race bench vet fmt-check check chaos numstress dynstress solvestress hastress blrstress durastress fuzz serve-smoke bench-smoke ci
 
 all: ci
 
@@ -129,8 +129,16 @@ check: build vet test race
 serve-smoke:
 	$(GO) run ./cmd/pastix-serve -smoke
 
+# Benchmark smoke test: benchmark/ is its own Go module, so `go test ./...`
+# at the root never compiles it. Vet and test it here so a library API
+# change that breaks the performance instrument fails CI, not the next
+# benchmark run.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # The CI entry point (and default target): build, vet+gofmt, tests, race,
 # the chaos, numerical-stress, dynamic-runtime, solve-path, HA-serving,
-# block-low-rank and durability soaks, a short fuzz pass, then the serving
-# smoke test (which ends with a persist → restart → solve round trip).
-ci: build vet test race chaos numstress dynstress solvestress hastress blrstress durastress fuzz serve-smoke
+# block-low-rank and durability soaks, a short fuzz pass, the serving
+# smoke test (which ends with a persist → restart → solve round trip), then
+# the benchmark smoke test.
+ci: build vet test race chaos numstress dynstress solvestress hastress blrstress durastress fuzz serve-smoke bench-smoke

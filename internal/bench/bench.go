@@ -27,9 +27,6 @@ import (
 // keeps the full Table 2 sweep under a few minutes of analysis time.
 const DefaultScale = 0.25
 
-// DefaultProcs is the paper's processor axis.
-var DefaultProcs = []int{1, 2, 4, 8, 16, 32, 64}
-
 // PastixAnalysis runs the paper's PaStiX configuration (Scotch-like
 // ordering, blocking 64, mixed 1D/2D) for the named problem.
 func PastixAnalysis(name string, scale float64, p int) (*solver.Analysis, error) {

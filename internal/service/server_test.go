@@ -266,6 +266,12 @@ func TestServerRequestErrors(t *testing.T) {
 	if st := postJSON(t, ts.URL+"/v1/analyze", matrixRequest{MatrixMarket: "not a matrix"}, nil); st != http.StatusBadRequest {
 		t.Fatalf("bad matrix: status %d, want 400", st)
 	}
+	// An order beyond what the entries can cover → 400, refused before the
+	// reader allocates per column.
+	huge := "%%MatrixMarket matrix coordinate real symmetric\n65536 65536 0\n"
+	if st := postJSON(t, ts.URL+"/v1/factorize", matrixRequest{MatrixMarket: huge}, nil); st != http.StatusBadRequest {
+		t.Fatalf("order 65536 with no entries: status %d, want 400", st)
+	}
 	// Wrong RHS length → 400.
 	mm := mmString(t, gen.Laplacian3D(3, 3, 3))
 	var fr factorizeResponse

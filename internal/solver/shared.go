@@ -72,7 +72,7 @@ type pendList struct {
 }
 
 // sharedRun is the state shared by all goroutine processors of one
-// FactorizeShared (or FactorizeDynamic) execution.
+// FactorizeShared (or dynamic work-stealing) execution.
 type sharedRun[T blas.Scalar] struct {
 	sch   *sched.Schedule
 	f     *Store[T]       // the one shared factor storage (fully allocated)

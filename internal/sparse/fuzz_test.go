@@ -29,13 +29,18 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	})
 }
 
-// hostileMMSizes are size lines that once crashed the readers: a negative
-// entry count, and counts or orders too large to allocate or index.
+// hostileMMSizes are size lines the readers must refuse: a negative entry
+// count and counts or orders too large to allocate or index (these once
+// crashed the readers), and an order above twice the entry count (a few
+// bytes that made the reader allocate per column of a huge matrix).
 var hostileMMSizes = []string{
 	"%%MatrixMarket matrix coordinate real symmetric\n2 2 -1\n",
 	"%%MatrixMarket matrix coordinate real symmetric\n2 2 4000000000000000000\n",
 	"%%MatrixMarket matrix coordinate complex symmetric\n4000000000000000000 4000000000000000000 1\n",
 	"%%MatrixMarket matrix coordinate complex symmetric\n3000000000 3000000000 1\n1 1 1 0\n",
+	"%%MatrixMarket matrix coordinate real symmetric\n65536 65536 0\n",
+	"%%MatrixMarket matrix coordinate complex symmetric\n3 3 1\n1 1 1 0\n",
+	"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 1\n1 1\n",
 }
 
 func FuzzReadMatrixMarketComplex(f *testing.F) {

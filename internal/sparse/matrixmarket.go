@@ -74,7 +74,10 @@ type mmHeader struct {
 
 // readMMHeader parses the banner and the size line, leaving br at the first
 // entry. The sizes are untrusted: a non-square, empty or negative size, or
-// one too large to index, is rejected.
+// one too large to index, is rejected. So is an order above 2·nnz: the
+// stored entries touch at most 2·nnz rows, so such a matrix has a row with
+// no entry (singular with values, an uncoupled unit row as a pattern), and
+// rejecting it bounds the reader's O(order) allocations by the body size.
 func readMMHeader(br *bufio.Reader) (mmHeader, error) {
 	var h mmHeader
 	banner, err := br.ReadString('\n')
@@ -104,7 +107,7 @@ func readMMHeader(br *bufio.Reader) (mmHeader, error) {
 	ncol, err2 := strconv.Atoi(sf[1])
 	nnz, err3 := strconv.Atoi(sf[2])
 	if err1 != nil || err2 != nil || err3 != nil || nrow != ncol ||
-		nrow <= 0 || nrow > math.MaxInt32 || nnz < 0 || nnz > math.MaxInt32 {
+		nrow <= 0 || nrow > math.MaxInt32 || nnz < 0 || nnz > math.MaxInt32 || nrow > 2*nnz {
 		return h, fmt.Errorf("sparse: bad mm dimensions %q", sizeLine)
 	}
 	h.n, h.nnz = nrow, nnz

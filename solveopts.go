@@ -47,7 +47,7 @@ type SolveOptions struct {
 	// Trace, when non-nil, records the solve's phase and message events into
 	// a fresh Trace returned in the result. A standalone solve trace holds no
 	// factorization tasks, so it supports WriteChromeTrace but not the
-	// schedule-divergence Summary/WriteReport. Tracing needs a parallel
+	// schedule divergence Summary/WriteReport. Tracing needs a parallel
 	// engine: combining it with a (resolved) sequential runtime fails with
 	// ErrBadOptions.
 	Trace *TraceOptions

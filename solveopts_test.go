@@ -184,7 +184,7 @@ func TestSolveOptsRefinePanel(t *testing.T) {
 
 // TestSolveOptsTraced runs a traced level-set solve and checks the returned
 // trace renders (standalone solve traces support the Chrome export, not the
-// schedule-divergence report).
+// schedule divergence report).
 func TestSolveOptsTraced(t *testing.T) {
 	an, f, b := solveOptsFixture(t, Options{Processors: 3})
 	res, err := an.SolveOpts(context.Background(), f, b, SolveOptions{Trace: &TraceOptions{}})
